@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import eigenstate, forms, holocheck, numcore, rigging, resolvent, schrodinger, semigroup
-from .contour import Circle, Polyline, RightBoundary, low_energy_hamiltonian, riesz_projection, \
-    projected_operator, rank_of_projection
+from .contour import Circle, Polyline, RightBoundary, low_energy_hamiltonian, rank_of_projection, \
+    spectral_pair
 from .errors import ConfigError, NumericalFailure, SectorialError
 from .forms import Sector
 
@@ -187,8 +187,7 @@ def run_riesz(cfg, outdir: Path, tol: dict, seed: int) -> dict:
     if isinstance(contour, RightBoundary):
         p, a_low = low_energy_hamiltonian(matrix, contour)
     else:
-        p = riesz_projection(matrix, contour)
-        a_low = projected_operator(matrix, contour)
+        p, a_low, _ = spectral_pair(matrix, contour)
     rows = [[i, j, p[i, j].real, p[i, j].imag]
             for i in range(p.shape[0]) for j in range(p.shape[1])]
     write_csv(outdir / "projector.csv", ["row", "col", "re_p", "im_p"], rows)

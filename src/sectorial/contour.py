@@ -5,8 +5,10 @@ splitting line.
 
 Circles use the trapezoid rule (exponentially convergent for analytic
 integrands); straight segments and sector rays use composite Gauss-Legendre
-panels.  All node sums go through a fixed pairwise tree so results do not
-depend on evaluation scheduling.
+panels.  Every contour quantity goes through one engine, :func:`resolvent_sums`,
+which solves the nodes in fixed chunks and folds the weighted terms in a
+fixed pairwise order, so results do not depend on evaluation scheduling and
+memory does not grow with the node count.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from .errors import (
     NumericalFailure,
 )
 from .forms import Sector
-from .numcore import as_matrix, eigvals_oracle, pairwise_sum, solve
+from .numcore import PairwiseAccumulator, as_matrix, eigvals_oracle, pairwise_sum, solve
 
 DEFAULT_CIRCLE_NODES = 128
 DEFAULT_GAUSS_ORDER = 16
 CLEARANCE_FACTOR = 10.0
+CHUNK_NODES = 32  # nodes per batched solve in resolvent_sums
 
 
 @dataclass(frozen=True)
@@ -243,6 +246,30 @@ def _resolvent_nodes(a: np.ndarray, rule: QuadratureRule) -> list[np.ndarray]:
     return list(res)
 
 
+def _fold_chunk(sums, funcs, chunk: QuadratureRule, resolvents) -> None:
+    for z, w, r in zip(chunk.nodes, chunk.weights, resolvents):
+        for f, acc in zip(funcs, sums):
+            acc.add(w * f(z) * r)
+
+
+def resolvent_sums(a: np.ndarray, rule: QuadratureRule, funcs) -> list:
+    """sum_j w_j f(zeta_j) R(zeta_j, A) over the nodes of ``rule``, for each f.
+
+    The one quadrature engine behind every contour quantity.  Nodes are
+    solved CHUNK_NODES at a time and each weighted term is folded at once
+    into a :class:`PairwiseAccumulator` per f, so memory is
+    O((CHUNK_NODES + len(funcs) * log2 m) n^2) whatever the node count m,
+    and every sum equals ``pairwise_sum`` over the m terms bit for bit.
+    """
+    sums = [PairwiseAccumulator() for _ in funcs]
+    for lo in range(0, len(rule.nodes), CHUNK_NODES):
+        chunk = QuadratureRule(nodes=rule.nodes[lo:lo + CHUNK_NODES],
+                               weights=rule.weights[lo:lo + CHUNK_NODES], closed=False)
+        # a helper call, so the chunk's resolvents are freed before the next solve
+        _fold_chunk(sums, funcs, chunk, _resolvent_nodes(a, chunk))
+    return [acc.total() for acc in sums]
+
+
 def _check_clearance(rule: QuadratureRule, spectrum: np.ndarray,
                      factor: float = CLEARANCE_FACTOR) -> None:
     dist = np.abs(rule.nodes[:, None] - spectrum[None, :]).min()
@@ -254,29 +281,30 @@ def _check_clearance(rule: QuadratureRule, spectrum: np.ndarray,
         )
 
 
-def _integrate_rdt(a, contour, funcs, clearance_factor: float = CLEARANCE_FACTOR):
-    """-(1/2 pi i) * contour integral of f(zeta) R(zeta, A) for each f."""
+def _integrate_rdt(a, contour, funcs, clearance_factor: float = CLEARANCE_FACTOR,
+                   spectrum=None):
+    """-(1/2 pi i) * contour integral of f(zeta) R(zeta, A) for each f.
+
+    One resolvent pass whatever the number of f.  Returns the integrals and
+    the oracle spectrum the contour was cleared against (``spectrum`` when
+    the caller already holds it).
+    """
     a = as_matrix(a)
     rule = contour.rule()
-    spec = eigvals_oracle(a)
+    spec = eigvals_oracle(a) if spectrum is None else spectrum
     _check_clearance(rule, spec, clearance_factor)
-    resolvents = _resolvent_nodes(a, rule)
-    out = []
-    for f in funcs:
-        terms = [w * f(z) * r for z, w, r in zip(rule.nodes, rule.weights, resolvents)]
-        out.append(-pairwise_sum(terms) / (2j * math.pi))
-    return out
+    return [-s / (2j * math.pi) for s in resolvent_sums(a, rule, funcs)], spec
 
 
 def riesz_projection(a, contour, clearance_factor: float = CLEARANCE_FACTOR) -> np.ndarray:
     """Spectral projection -(1/2 pi i) * integral of R(zeta, A) d zeta."""
-    (p,) = _integrate_rdt(a, contour, [lambda z: 1.0], clearance_factor)
+    (p,), _ = _integrate_rdt(a, contour, [lambda z: 1.0], clearance_factor)
     return p
 
 
 def projected_operator(a, contour, clearance_factor: float = CLEARANCE_FACTOR) -> np.ndarray:
     """A restricted to the enclosed spectral subspace: -(1/2 pi i) * integral of zeta R d zeta."""
-    (ap,) = _integrate_rdt(a, contour, [lambda z: z], clearance_factor)
+    (ap,), _ = _integrate_rdt(a, contour, [lambda z: z], clearance_factor)
     return ap
 
 
@@ -286,25 +314,37 @@ def rdt_function(a, contour, f, clearance_factor: float = CLEARANCE_FACTOR) -> n
     ``f`` must be evaluable at every quadrature node and holomorphic on and
     inside the contour.
     """
-    (fa,) = _integrate_rdt(a, contour, [f], clearance_factor)
+    (fa,), _ = _integrate_rdt(a, contour, [f], clearance_factor)
     return fa
 
 
-def extract_eigenvalue(a, contour, trace_tol: float = 0.01,
-                       clearance_factor: float = CLEARANCE_FACTOR) -> complex:
-    """Isolated nondegenerate eigenvalue enclosed by the contour.
+def spectral_pair(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
+    """(P, AP, spectrum): the Riesz projection and the projected operator from
+    one resolvent pass, with the oracle spectrum that cleared the contour."""
+    (p, ap), spec = _integrate_rdt(a, contour, [lambda z: 1.0, lambda z: z], clearance_factor)
+    return p, ap, spec
+
+
+def enclosed_eigenvalue(p, ap, trace_tol: float = 0.01) -> complex:
+    """Tr AP for a rank-one enclosure (P, AP) from :func:`spectral_pair`.
 
     Tr P counts enclosed algebraic multiplicity: ~0 raises
-    EmptyEnclosureError, ~k > 1 DegenerateEnclosureError; at ~1 the value is
-    Tr of the projected operator.
+    EmptyEnclosureError, ~k > 1 DegenerateEnclosureError.
     """
-    p, ap = _integrate_rdt(a, contour, [lambda z: 1.0, lambda z: z], clearance_factor)
     tr = complex(np.trace(p))
     if abs(tr) <= trace_tol:
         raise EmptyEnclosureError(f"Tr P = {tr:.3e}: contour encloses nothing")
     if abs(tr - 1.0) > trace_tol:
         raise DegenerateEnclosureError(f"Tr P = {tr:.4f}: enclosure is not rank one")
     return complex(np.trace(ap))
+
+
+def extract_eigenvalue(a, contour, trace_tol: float = 0.01,
+                       clearance_factor: float = CLEARANCE_FACTOR) -> complex:
+    """Isolated nondegenerate eigenvalue enclosed by the contour (see
+    :func:`enclosed_eigenvalue`)."""
+    p, ap, _ = spectral_pair(a, contour, clearance_factor)
+    return enclosed_eigenvalue(p, ap, trace_tol)
 
 
 def rank_of_projection(p, idem_tol: float = 1e-6) -> int:
@@ -374,7 +414,7 @@ def low_energy_hamiltonian(a, boundary: RightBoundary,
     counts = [int(np.clip(math.ceil(2.0 * abs(p1 - p0) / dmin), 4, 512))
               for p0, p1 in edges]
     tri = Polyline(vertices=tuple(verts), order=order, panels=tuple(counts))
-    p, ap = _integrate_rdt(a, tri, [lambda z: 1.0, lambda z: z])
+    (p, ap), _ = _integrate_rdt(a, tri, [lambda z: 1.0, lambda z: z], spectrum=spec)
     return p, ap
 
 

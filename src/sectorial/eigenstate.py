@@ -8,9 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import Circle, extract_eigenvalue, rank_of_projection, riesz_projection
+from .contour import Circle, enclosed_eigenvalue, rank_of_projection, riesz_projection, \
+    spectral_pair
 from .errors import IsolationLostError, RankNotOneError
-from .numcore import as_matrix, eigvals_oracle
+from .numcore import as_matrix
 from . import schrodinger
 
 GAP_FLOOR = 1e-6
@@ -76,8 +77,7 @@ class TrackPoint:
     pair: RankOnePair
 
 
-def _gap_at(matrix: np.ndarray, energy: complex) -> float:
-    spec = eigvals_oracle(matrix)
+def _gap_at(spec: np.ndarray, energy: complex) -> float:
     dist = np.abs(spec - energy)
     if len(dist) < 2:
         return float("inf")
@@ -107,12 +107,12 @@ def track_eigenvalue(family_f, path, c0: Circle, s_values=None,
     circle = c0
     pin = None
     for k, (s, p) in enumerate(zip(s_values, path)):
-        matrix = as_matrix(family_f(p))
-        energy = extract_eigenvalue(matrix, circle)
-        gap = _gap_at(matrix, energy)
+        # one resolvent pass gives P and AP; its oracle spectrum gives the gap
+        proj, ap, spec = spectral_pair(as_matrix(family_f(p)), circle)
+        energy = enclosed_eigenvalue(proj, ap)
+        gap = _gap_at(spec, energy)
         if gap < gap_floor:
             raise IsolationLostError(f"gap {gap:.3e} < floor {gap_floor:.1e} at step {k}")
-        proj = riesz_projection(matrix, circle)
         pair = rank_one_decompose(proj, pin=pin)
         repinned = k > 0 and pair.pin != pin
         pin = pair.pin

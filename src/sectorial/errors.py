@@ -64,10 +64,6 @@ class ZetaInsideRangeError(NumericalFailure):
     """Bound check requested at a point inside the numerical-range hull."""
 
 
-class NotContractiveError(NumericalFailure):
-    """Series expansion ratio >= 1 (flag; the series may still be formed)."""
-
-
 class ContourThroughSpectrumError(NumericalFailure):
     """Quadrature nodes come too close to the spectrum."""
 

@@ -34,12 +34,6 @@ def hermitian_split(t) -> tuple[np.ndarray, np.ndarray]:
     return (t + th) / 2.0, (t - th) / 2.0j
 
 
-def is_hermitian(t, tol: float = 1e-12) -> bool:
-    t = as_matrix(t)
-    scale = max(1.0, np.abs(t).max())
-    return bool(np.abs(t - t.conj().T).max() <= tol * scale)
-
-
 @dataclass(frozen=True)
 class Sector:
     """Right-facing wedge with real vertex: {vertex + r e^{i phi}, |phi| <= half_angle}."""

@@ -55,6 +55,34 @@ def pairwise_sum(terms):
     return items[0]
 
 
+class PairwiseAccumulator:
+    """Streaming form of :func:`pairwise_sum`: terms are added one at a time.
+
+    A binary-counter stack holds one partial sum per set bit of the term
+    count (at most log2(m) + 1 of them); folding it right to left at the end
+    reproduces :func:`pairwise_sum`'s association, so the total is the same
+    bit for bit without ever holding all m terms.
+    """
+
+    def __init__(self):
+        self._stack = []  # (terms covered, partial sum), sizes strictly decreasing
+
+    def add(self, term) -> None:
+        size = 1
+        while self._stack and self._stack[-1][0] == size:
+            term = self._stack.pop()[1] + term
+            size *= 2
+        self._stack.append((size, term))
+
+    def total(self):
+        if not self._stack:
+            raise ValueError("pairwise_sum of empty sequence")
+        acc = self._stack[-1][1]
+        for _, part in reversed(self._stack[:-1]):
+            acc = part + acc
+        return acc
+
+
 @dataclass(frozen=True)
 class SpectralData:
     """Eigendecomposition with a reproducible ordering.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .contour import _resolvent_nodes, adapted_sector_boundary
+from .contour import adapted_sector_boundary, resolvent_sums
 from .errors import (
     H0NotCoerciveError,
     NotSectorialForBetaError,
@@ -67,11 +67,8 @@ def emap(beta: complex, t, sector: Sector, order: int = 16,
     path = adapted_sector_boundary(vertex=complex(vertex), half_angle=theta,
                                    radius=radius, inner=sector,
                                    max_panel=4.0 / abs(beta), order=order)
-    rule = path.rule()
-    resolvents = _resolvent_nodes(t, rule)
-    terms = [w * cmath.exp(-beta * z) * r
-             for z, w, r in zip(rule.nodes, rule.weights, resolvents)]
-    return pairwise_sum(terms) / (2j * math.pi)
+    (total,) = resolvent_sums(t, path.rule(), [lambda z: cmath.exp(-beta * z)])
+    return total / (2j * math.pi)
 
 
 @dataclass(frozen=True)
@@ -107,18 +104,19 @@ def thermal_expectation(state: ThermalState, b) -> complex:
 
 
 def free_energy_path(betas, t, sector: Sector, z_floor_factor: float = 1e-12,
-                     **emap_kwargs):
+                     check_range: bool = True, **emap_kwargs):
     """Free energies along a beta path with the phase of Z unwrapped.
 
     Standalone :func:`thermal_state` uses the principal log branch; along a
     continuous path the argument of Z is unwrapped instead so F cannot jump
-    across the cut.  Returns (Z array, F array).
+    across the cut.  Num T inside the sector is checked once for the whole
+    path (with the first beta).  Returns (Z array, F array).
     """
     t = as_matrix(t)
     betas = [complex(b) for b in betas]
     zs = []
-    for b in betas:
-        e = emap(b, t, sector, **emap_kwargs)
+    for k, b in enumerate(betas):
+        e = emap(b, t, sector, check_range=check_range and k == 0, **emap_kwargs)
         zs.append(complex(np.trace(e)))
     zs = np.array(zs)
     floor = z_floor_factor * t.shape[0]

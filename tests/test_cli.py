@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sectorial import numcore
+from sectorial import contour, numcore
 from sectorial.cli import main, run
 
 
@@ -53,6 +53,21 @@ def test_riesz_matrix_json(tmp_path):
     header, rows = read_csv(tmp_path / "out" / "projector.csv")
     assert header == ["row", "col", "re_p", "im_p"]
     assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_riesz_circle_is_one_resolvent_pass(tmp_path, monkeypatch):
+    solved = []
+    batch = contour._resolvent_nodes
+    monkeypatch.setattr(contour, "_resolvent_nodes",
+                        lambda a, rule: solved.append(len(rule.nodes)) or batch(a, rule))
+    mat = numcore.matrix_to_json(np.diag([0.0, 5.0]).astype(complex))
+    cfg = write_cfg(tmp_path, "c.json", {
+        "subcommand": "riesz", "seed": 0, "output_dir": str(tmp_path / "out"),
+        "matrix": mat,
+        "contour": {"type": "circle", "center": [0.0, 0.0], "radius": 1.0, "nodes": 64},
+    })
+    assert run(str(cfg)) == 0
+    assert sum(solved) == 64
 
 
 def test_riesz_right_boundary(tmp_path):

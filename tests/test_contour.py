@@ -1,8 +1,13 @@
+import cmath
+import math
+import sys
+
 import numpy as np
 import pytest
 
-from sectorial import numcore
+from sectorial import contour, eigenstate, numcore, semigroup
 from sectorial.contour import (
+    CHUNK_NODES,
     Circle,
     Polyline,
     RightBoundary,
@@ -23,7 +28,7 @@ from sectorial.errors import (
     GammaHitsSpectrumError,
     NotAProjectionError,
 )
-from sectorial.forms import Sector
+from sectorial.forms import Sector, fit_sector, numerical_range
 
 from conftest import rand_complex, rand_sectorial
 
@@ -274,3 +279,82 @@ def test_enclosed_count(rng):
     assert enclosed_count(a, Circle(1.0, 0.5, 64)) == 2
     assert enclosed_count(a, Circle(1.0, 2.0, 64)) == 3
     assert enclosed_count(a, Circle(-3.0, 1.0, 64)) == 0
+
+
+# -- the streaming engine -------------------------------------------------------
+
+def reference_sums(a, rule, funcs):
+    """Per-node solve, then pairwise_sum over every weighted term: the batch
+    definition the streaming engine must reproduce bit for bit."""
+    eye = np.eye(a.shape[0], dtype=complex)
+    res = [np.linalg.solve(a - z * eye, eye) for z in rule.nodes]
+    return [numcore.pairwise_sum([w * f(z) * r for z, w, r in zip(rule.nodes, rule.weights, res)])
+            for f in funcs]
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def count_calls(monkeypatch, fn):
+    """Replace ``fn`` at every binding in the package; return the log of calls."""
+    log = []
+
+    def spy(*args):
+        log.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sectorial" or name.startswith("sectorial."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, spy)
+    return log
+
+
+def test_riesz_and_extract_are_bitwise_batch_reference(rng):
+    t = rand_complex(rng, 8)
+    spec = numcore.eig_oracle(t).eigenvalues
+    gap = np.abs(spec[1:] - spec[0]).min()
+    for m in (64, 65, 100, 128):
+        c = Circle(complex(spec[0]), 0.4 * gap, m)
+        p_ref, ap_ref = reference_sums(t, c.rule(), [lambda z: 1.0, lambda z: z])
+        assert same_bits(riesz_projection(t, c), -p_ref / (2j * math.pi))
+        assert same_bits(extract_eigenvalue(t, c), complex(np.trace(-ap_ref / (2j * math.pi))))
+
+
+def test_emap_is_bitwise_batch_reference(rng, monkeypatch):
+    t = rand_sectorial(rng, 8)
+    sec = fit_sector(numerical_range(t, 64), margin=0.05)
+    rules = []
+    engine = semigroup.resolvent_sums
+    monkeypatch.setattr(semigroup, "resolvent_sums",
+                        lambda a, rule, funcs: rules.append(rule) or engine(a, rule, funcs))
+    beta = 1.2 * cmath.exp(0.1j)
+    e = semigroup.emap(beta, t, sec, check_range=False)
+    (rule,) = rules
+    assert len(rule.nodes) > 10 * CHUNK_NODES
+    (ref,) = reference_sums(t, rule, [lambda z: cmath.exp(-beta * z)])
+    assert same_bits(e, ref / (2j * math.pi))
+
+
+def test_resolvent_batches_never_exceed_the_chunk(rng, monkeypatch):
+    t = rand_sectorial(rng, 6)
+    sec = fit_sector(numerical_range(t, 64), margin=0.05)
+    log = count_calls(monkeypatch, contour._resolvent_nodes)
+    semigroup.emap(0.8, t, sec, check_range=False)
+    sizes = [len(rule.nodes) for _, rule in log]
+    assert max(sizes) == CHUNK_NODES and len(sizes) > 1
+    assert all(s == CHUNK_NODES for s in sizes[:-1])
+
+
+def test_track_step_is_one_pass_and_one_oracle(monkeypatch):
+    fam = lambda s: np.diag([0.1 * s, 1.0, 2.0]).astype(complex)
+    solves = count_calls(monkeypatch, contour._resolvent_nodes)
+    oracles = count_calls(monkeypatch, numcore.eigvals_oracle)
+    steps = 3
+    eigenstate.track_eigenvalue(fam, [0.0, 0.5, 1.0], Circle(0.0, 0.3, 128))
+    assert sum(len(rule.nodes) for _, rule in solves) == steps * 128
+    assert len(solves) == steps * 128 // CHUNK_NODES
+    assert len(oracles) == steps

@@ -143,6 +143,23 @@ def test_pairwise_sum_matches_plain(rng):
     assert np.allclose(numcore.pairwise_sum(xs), sum(xs), atol=1e-13)
 
 
+def test_pairwise_accumulator_is_bitwise_pairwise_sum(rng):
+    for m in range(1, 258):
+        scalars = list(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        arrays = [rand_complex(rng, 2) for _ in range(m)]
+        for terms in (scalars, arrays):
+            acc = numcore.PairwiseAccumulator()
+            for t in terms:
+                acc.add(t)
+            got, want = np.asarray(acc.total()), np.asarray(numcore.pairwise_sum(terms))
+            assert got.tobytes() == want.tobytes(), m
+
+
+def test_pairwise_accumulator_empty_raises():
+    with pytest.raises(ValueError):
+        numcore.PairwiseAccumulator().total()
+
+
 def test_matrix_json_roundtrip_bit_exact(rng):
     a = rand_complex(rng, 7)
     blob = json.dumps(numcore.matrix_to_json(a))

@@ -53,6 +53,23 @@ def test_emap_rejects_escaping_range(rng):
         semigroup.emap(1.0, t, Sector(vertex=10.0, half_angle=0.01))
 
 
+def test_free_energy_path_rejects_escaping_range(rng):
+    t = rand_sectorial(rng, 6, angle=0.4)
+    with pytest.raises(SectorViolationError):
+        semigroup.free_energy_path([1.0, 0.5], t, Sector(vertex=10.0, half_angle=0.01))
+
+
+def test_free_energy_path_checks_range_once(rng, monkeypatch):
+    calls = []
+    monkeypatch.setattr(semigroup, "numerical_range",
+                        lambda t, m: calls.append(m) or numerical_range(t, m))
+    t = rand_sectorial(rng, 6)
+    semigroup.free_energy_path([0.5, 1.0, 1.5], t, fitted(t), range_nodes=64)
+    assert calls == [64]
+    semigroup.free_energy_path([0.5, 1.0], t, fitted(t), check_range=False)
+    assert calls == [64]
+
+
 def test_emap_semigroup_law(rng):
     t = rand_sectorial(rng, 12)
     sec = fitted(t)
