@@ -145,15 +145,19 @@ def parse_fields(cfg_block, grid) -> schrodinger.FieldConfig:
 
 def _beta_list(cfg: dict) -> list[complex]:
     block = _require(cfg, "beta")
-    if isinstance(block, dict):
-        try:
-            return [complex(b) for b in
-                    np.linspace(float(block["start"]), float(block["stop"]), int(block["num"]))]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad beta block: {exc}") from exc
-    if isinstance(block, list):
-        return [complex(b[0], b[1]) for b in block]
-    return [complex(float(block))]
+    try:
+        if isinstance(block, dict):
+            betas = [complex(b) for b in
+                     np.linspace(float(block["start"]), float(block["stop"]), int(block["num"]))]
+        elif isinstance(block, list):
+            betas = [complex(b[0], b[1]) for b in block]
+        else:
+            betas = [complex(float(block))]
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"bad beta block: {exc}") from exc
+    if not betas:
+        raise ConfigError("beta block gives no beta values")
+    return betas
 
 
 # -- subcommand implementations -----------------------------------------------
@@ -276,7 +280,8 @@ def run_thermal(cfg, outdir: Path, tol: dict, seed: int) -> dict:
             for b, z, f in zip(betas, zs, fs)]
     write_csv(outdir / "thermal.csv",
               ["re_beta", "im_beta", "re_Z", "im_Z", "re_F", "im_F"], rows)
-    last = semigroup.thermal_state(betas[-1], matrix, sector)
+    # free_energy_path has already checked Num T inside this sector
+    last = semigroup.thermal_state(betas[-1], matrix, sector, check_range=False)
     return {"n_beta": len(betas),
             "trace_rho_defect": float(abs(np.trace(last.rho) - 1.0)),
             "sector": {"vertex": sector.vertex, "half_angle": sector.half_angle}}

@@ -8,7 +8,10 @@ integrands); straight segments and sector rays use composite Gauss-Legendre
 panels.  Every contour quantity goes through one engine, :func:`resolvent_sums`,
 which solves the nodes in fixed chunks and folds the weighted terms in a
 fixed pairwise order, so results do not depend on evaluation scheduling and
-memory does not grow with the node count.
+memory does not grow with the node count.  Sums that need only the trace of
+the resolvent use its trace-only counterpart, :func:`hessenberg_trace_sum`,
+which takes an upper-Hessenberg matrix and never forms a resolvent: O(n^2)
+per node by Hyman's method, summed in the same fixed order.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .errors import (
     GammaHitsSpectrumError,
     NotAProjectionError,
     NumericalFailure,
+    SpectrumHitError,
 )
 from .forms import Sector
 from .numcore import PairwiseAccumulator, as_matrix, eigvals_oracle, pairwise_sum, solve
@@ -33,6 +37,8 @@ DEFAULT_CIRCLE_NODES = 128
 DEFAULT_GAUSS_ORDER = 16
 CLEARANCE_FACTOR = 10.0
 CHUNK_NODES = 32  # nodes per batched solve in resolvent_sums
+TRACE_CHUNK_NODES = 256  # nodes per vectorized recurrence in hessenberg_trace_sum
+_HYMAN_BIG = 2.0 ** 256
 
 
 @dataclass(frozen=True)
@@ -268,6 +274,85 @@ def resolvent_sums(a: np.ndarray, rule: QuadratureRule, funcs) -> list:
         # a helper call, so the chunk's resolvents are freed before the next solve
         _fold_chunk(sums, funcs, chunk, _resolvent_nodes(a, chunk))
     return [acc.total() for acc in sums]
+
+
+def _hessenberg_blocks(h: np.ndarray) -> list[tuple[int, int]]:
+    """[lo, hi) row ranges of the diagonal blocks of upper-Hessenberg ``h``,
+    split wherever |h[i+1, i]| <= eps * |h|_F (treated as an exact zero)."""
+    tol = np.finfo(float).eps * np.linalg.norm(h)
+    cuts = [0] + [int(i) + 1 for i in np.flatnonzero(np.abs(np.diagonal(h, -1)) <= tol)]
+    cuts.append(h.shape[0])
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _hyman_traces(b: np.ndarray, z: np.ndarray):
+    """(Tr R(z_j, B), c_j, c'_j) at every shift z_j for an unreduced
+    upper-Hessenberg block B.
+
+    Hyman's method: with x_k = 1, rows k..2 of (B - zI) x = c e_1 fix x by
+    back-substitution through the (nonzero) subdiagonal, and c is
+    det(B - zI) up to a factor independent of z.  Differentiating the same
+    recurrence gives c' = dc/dz, and Tr R(z) = -d/dz log det(B - zI) = -c'/c.
+    Columns [:m] of ``xs`` carry x and [m:] carry x' for the m shifts, so one
+    matrix-vector product per row serves both.
+    """
+    k, m = b.shape[0], z.size
+    xs = np.zeros((k, 2 * m), dtype=complex)
+    xs[k - 1, :m] = 1.0
+    for i in range(k - 1, 0, -1):
+        s = b[i, i:] @ xs[i:]
+        s[:m] -= z * xs[i, :m]
+        s[m:] -= z * xs[i, m:] + xs[i, :m]
+        xs[i - 1] = s / -b[i, i - 1]
+        # x and x' grow together; scale them jointly by a power of two (exact,
+        # so the ratio c'/c is unchanged) before they can overflow
+        big = np.abs(xs[i - 1]) > _HYMAN_BIG
+        if big.any():
+            cols = np.flatnonzero(big[:m] | big[m:])
+            xs[i - 1:, cols] /= _HYMAN_BIG
+            xs[i - 1:, cols + m] /= _HYMAN_BIG
+    s = b[0] @ xs
+    c = s[:m] - z * xs[0, :m]
+    dc = s[m:] - z * xs[0, m:] - xs[0, :m]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tr = -dc / c
+    return tr, c, dc
+
+
+def hessenberg_trace_sum(h, rule: QuadratureRule, f) -> complex:
+    """sum_j w_j f(zeta_j) Tr R(zeta_j, H) over the nodes of ``rule`` for an
+    upper-Hessenberg H; the trace-only counterpart of :func:`resolvent_sums`.
+
+    No resolvent is formed: each trace costs O(n^2) through Hyman's method,
+    vectorized over TRACE_CHUNK_NODES nodes at a time, so memory is
+    O(TRACE_CHUNK_NODES * n) whatever the node count.  H is split into
+    diagonal blocks at subdiagonals <= eps * |H|_F and the block traces are
+    added, which makes diagonal and block-triangular inputs exact.  The m
+    terms are reduced with :func:`pairwise_sum` in node order, so the sum is
+    reproducible.  A node where det(H - zeta I) vanishes or the trace is not
+    finite raises SpectrumHitError naming the node.
+    """
+    h = as_matrix(h)
+    if np.any(np.tril(h, -2)):
+        raise ValueError("expected an upper-Hessenberg matrix")
+    blocks = _hessenberg_blocks(h)
+    terms = []
+    for lo in range(0, len(rule.nodes), TRACE_CHUNK_NODES):
+        z = rule.nodes[lo:lo + TRACE_CHUNK_NODES]
+        tr = np.zeros(z.size, dtype=complex)
+        for a, b in blocks:
+            block_tr, c, dc = _hyman_traces(h[a:b, a:b], z)
+            bad = np.flatnonzero(~np.isfinite(block_tr))
+            if bad.size:
+                j = bad[0]
+                raise SpectrumHitError(
+                    f"node {lo + j} (zeta = {complex(z[j]):.6g}) gives Hyman c = "
+                    f"{complex(c[j]):.3e}, c' = {complex(dc[j]):.3e} on Hessenberg "
+                    f"block rows {a}:{b}: the node is numerically on the spectrum")
+            tr += block_tr
+        terms += [w * f(zj) * t
+                  for zj, w, t in zip(z, rule.weights[lo:lo + TRACE_CHUNK_NODES], tr)]
+    return complex(pairwise_sum(terms))
 
 
 def _check_clearance(rule: QuadratureRule, spectrum: np.ndarray,

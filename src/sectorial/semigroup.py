@@ -2,6 +2,11 @@
 quantities (partition function, free energy, statistical operator), the
 first-order Duhamel term, and the operator-form norm against a reference
 hermitian form.
+
+:func:`emap` and everything built on the full matrix e^{-beta T} go through
+the resolvent engine; :func:`free_energy_path`, which needs only
+Z = Tr e^{-beta T}, reduces T to Hessenberg form once per path and takes
+each Z from resolvent traces on the same wedge contour.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .contour import adapted_sector_boundary, resolvent_sums
+from .contour import QuadratureRule, adapted_sector_boundary, hessenberg_trace_sum, resolvent_sums
 from .errors import (
     H0NotCoerciveError,
     NotSectorialForBetaError,
@@ -42,6 +47,32 @@ def _admissible(beta: complex, sector: Sector) -> float:
     return room
 
 
+def _wedge_rule(beta: complex, sector: Sector, order: int) -> QuadratureRule:
+    """Quadrature rule for (1/2 pi i) * integral of e^{-beta zeta} R(zeta) d zeta:
+    a truncated wedge boundary exterior to a dilation of ``sector`` whose tail
+    is below TAIL_CUTOFF.  Raises NotSectorialForBetaError when beta is not
+    admissible for the sector.
+    """
+    _admissible(beta, sector)
+    theta = 0.5 * (sector.half_angle + (math.pi / 2 - abs(cmath.phase(beta))))
+    vertex = sector.vertex - VERTEX_SETBACK
+    decay = abs(beta) * min(math.cos(cmath.phase(beta) + theta),
+                            math.cos(cmath.phase(beta) - theta))
+    radius = math.log(1.0 / TAIL_CUTOFF) / decay
+    path = adapted_sector_boundary(vertex=complex(vertex), half_angle=theta,
+                                   radius=radius, inner=sector,
+                                   max_panel=4.0 / abs(beta), order=order)
+    return path.rule()
+
+
+def _check_range(t: np.ndarray, sector: Sector, range_nodes: int) -> None:
+    """Num T inside the sector, through the sampled boundary."""
+    boundary = numerical_range(t, range_nodes)
+    slack = 1e-9 * max(1.0, float(np.abs(boundary.points).max()))
+    if not sector.contains(boundary.points, slack=slack):
+        raise SectorViolationError("numerical range escapes the supplied sector")
+
+
 def emap(beta: complex, t, sector: Sector, order: int = 16,
          range_nodes: int = RANGE_NODES, check_range: bool = True) -> np.ndarray:
     """e^{-beta T} = (1/2 pi i) * integral of e^{-beta zeta} R(zeta, T) d zeta
@@ -52,22 +83,10 @@ def emap(beta: complex, t, sector: Sector, order: int = 16,
     """
     t = as_matrix(t)
     beta = complex(beta)
-    _admissible(beta, sector)
+    rule = _wedge_rule(beta, sector, order)
     if check_range:
-        boundary = numerical_range(t, range_nodes)
-        slack = 1e-9 * max(1.0, float(np.abs(boundary.points).max()))
-        if not sector.contains(boundary.points, slack=slack):
-            raise SectorViolationError("numerical range escapes the supplied sector")
-
-    theta = 0.5 * (sector.half_angle + (math.pi / 2 - abs(cmath.phase(beta))))
-    vertex = sector.vertex - VERTEX_SETBACK
-    decay = abs(beta) * min(math.cos(cmath.phase(beta) + theta),
-                            math.cos(cmath.phase(beta) - theta))
-    radius = math.log(1.0 / TAIL_CUTOFF) / decay
-    path = adapted_sector_boundary(vertex=complex(vertex), half_angle=theta,
-                                   radius=radius, inner=sector,
-                                   max_panel=4.0 / abs(beta), order=order)
-    (total,) = resolvent_sums(t, path.rule(), [lambda z: cmath.exp(-beta * z)])
+        _check_range(t, sector, range_nodes)
+    (total,) = resolvent_sums(t, rule, [lambda z: cmath.exp(-beta * z)])
     return total / (2j * math.pi)
 
 
@@ -104,21 +123,26 @@ def thermal_expectation(state: ThermalState, b) -> complex:
 
 
 def free_energy_path(betas, t, sector: Sector, z_floor_factor: float = 1e-12,
-                     check_range: bool = True, **emap_kwargs):
+                     check_range: bool = True, order: int = 16,
+                     range_nodes: int = RANGE_NODES):
     """Free energies along a beta path with the phase of Z unwrapped.
 
     Standalone :func:`thermal_state` uses the principal log branch; along a
     continuous path the argument of Z is unwrapped instead so F cannot jump
-    across the cut.  Num T inside the sector is checked once for the whole
-    path (with the first beta).  Returns (Z array, F array).
+    across the cut.  Every beta is checked admissible, then Num T inside the
+    sector once for the whole path.  Z = Tr e^{-beta T} is the trace of the
+    integral :func:`emap` takes, on the same wedge contour, from one
+    Hessenberg reduction of T and :func:`hessenberg_trace_sum`; no n x n
+    resolvent or e^{-beta T} is formed.  Returns (Z array, F array).
     """
     t = as_matrix(t)
     betas = [complex(b) for b in betas]
-    zs = []
-    for k, b in enumerate(betas):
-        e = emap(b, t, sector, check_range=check_range and k == 0, **emap_kwargs)
-        zs.append(complex(np.trace(e)))
-    zs = np.array(zs)
+    rules = [_wedge_rule(b, sector, order) for b in betas]
+    if check_range:
+        _check_range(t, sector, range_nodes)
+    h = sla.hessenberg(t)
+    zs = np.array([hessenberg_trace_sum(h, rule, lambda z: cmath.exp(-b * z)) / (2j * math.pi)
+                   for b, rule in zip(betas, rules)])
     floor = z_floor_factor * t.shape[0]
     if np.abs(zs).min() <= floor:
         raise ZeroPartitionFunctionError("partition function vanished along the path")

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sectorial import contour, numcore
+from sectorial import contour, forms, numcore, semigroup
 from sectorial.cli import main, run
 
 
@@ -185,6 +185,32 @@ def test_exit_2_on_bad_config(tmp_path, capsys):
 
     missing = tmp_path / "nope.json"
     assert run(str(missing)) == 2
+
+
+@pytest.mark.parametrize("beta", [{"start": 0.5, "stop": 2.0, "num": 0}, [[0.5]], []])
+def test_thermal_bad_beta_is_config_error(tmp_path, capsys, beta):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "subcommand": "thermal", "seed": 0, "output_dir": str(tmp_path / "out"),
+        "matrix": {"demo": "two_level"}, "beta": beta,
+    })
+    assert run(str(cfg)) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+
+
+def test_thermal_sweeps_range_twice(tmp_path, monkeypatch):
+    calls = []
+    sweep = forms.numerical_range
+    spy = lambda t, m: calls.append(m) or sweep(t, m)
+    monkeypatch.setattr(forms, "numerical_range", spy)
+    monkeypatch.setattr(semigroup, "numerical_range", spy)
+    cfg = write_cfg(tmp_path, "c.json", {
+        "subcommand": "thermal", "seed": 0, "output_dir": str(tmp_path / "out"),
+        "matrix": {"demo": "two_level"}, "beta": {"start": 0.5, "stop": 2.0, "num": 3},
+    })
+    assert run(str(cfg)) == 0
+    # one sweep fits the sector, one checks it for the whole path
+    assert len(calls) == 2
 
 
 def test_exit_3_on_numerical_failure(tmp_path, capsys):

@@ -5,16 +5,21 @@ import sys
 import numpy as np
 import pytest
 
+import scipy.linalg as sla
+
 from sectorial import contour, eigenstate, numcore, semigroup
 from sectorial.contour import (
     CHUNK_NODES,
+    TRACE_CHUNK_NODES,
     Circle,
     Polyline,
+    QuadratureRule,
     RightBoundary,
     SectorBoundary,
     adapted_sector_boundary,
     enclosed_count,
     extract_eigenvalue,
+    hessenberg_trace_sum,
     low_energy_hamiltonian,
     projected_operator,
     rank_of_projection,
@@ -27,10 +32,11 @@ from sectorial.errors import (
     EmptyEnclosureError,
     GammaHitsSpectrumError,
     NotAProjectionError,
+    SpectrumHitError,
 )
 from sectorial.forms import Sector, fit_sector, numerical_range
 
-from conftest import rand_complex, rand_sectorial
+from conftest import rand_complex, rand_hermitian, rand_sectorial
 
 
 def oracle_projector(a, inside):
@@ -358,3 +364,69 @@ def test_track_step_is_one_pass_and_one_oracle(monkeypatch):
     assert sum(len(rule.nodes) for _, rule in solves) == steps * 128
     assert len(solves) == steps * 128 // CHUNK_NODES
     assert len(oracles) == steps
+
+
+# -- trace engine ---------------------------------------------------------------
+
+def dense_trace(t, z):
+    n = t.shape[0]
+    return np.trace(np.linalg.solve(t - z * np.eye(n), np.eye(n)))
+
+
+def node_trace(h, z):
+    """Tr R(z, H) from the trace engine on a one-node, unit-weight rule."""
+    rule = QuadratureRule(np.array([complex(z)]), np.array([1.0 + 0j]), closed=False)
+    return hessenberg_trace_sum(h, rule, lambda _: 1.0)
+
+
+def test_hyman_traces_match_dense_trace(rng):
+    ring = 2.0 + 1.5 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False))
+    shifts = np.array([3.1 + 0.5j, -0.5 - 0.7j, 1.2 + 2.0j, 0.3 - 0.2j])
+    blocks = np.triu(rand_complex(rng, 16), -1)
+    blocks[8, 7] = 0.0
+    jordan = 2.0 * np.eye(40) + np.diag(np.ones(39), 1)
+    jordan[-1, 0] = 1e-10
+    q = np.linalg.qr(rand_complex(rng, 40))[0]
+    # x grows like 1e9 per row here: overflows unless rescaled
+    graded = np.triu(rand_complex(rng, 80))
+    graded[np.arange(1, 80), np.arange(79)] = 1e-9
+    cases = {
+        "n=1": (np.array([[0.7 + 0.1j]]), shifts),
+        "diagonal": (np.diag([0.0, 1.0, 2.5, -1.0, 4.0]).astype(complex), shifts),
+        "hermitian": (rand_hermitian(rng, 64, lo=0.1, hi=6.0), shifts),
+        "block triangular": (blocks, shifts),
+        "near-Jordan": (q @ jordan @ q.conj().T, ring),
+        "tiny subdiagonal": (graded, np.array([6.0 + 6.0j, -6.0 - 2.0j, 0.5 + 7.0j])),
+    }
+    for name, (t, zs) in cases.items():
+        h = sla.hessenberg(t)
+        for z in zs:
+            ref = dense_trace(t, z)
+            assert abs(node_trace(h, z) - ref) <= 1e-12 * abs(ref), f"{name} at {z}"
+
+
+def test_hyman_traces_on_sector_nodes_dim256(rng):
+    t = rand_sectorial(rng, 256)
+    rule = semigroup._wedge_rule(1.0, fit_sector(numerical_range(t, 64), margin=0.05), 16)
+    h = sla.hessenberg(t)
+    for z in rule.nodes[::24]:
+        ref = dense_trace(t, z)
+        assert abs(node_trace(h, z) - ref) <= 1e-12 * abs(ref), f"node {z}"
+
+
+def test_trace_sum_chunks_in_node_order(rng):
+    t = rand_sectorial(rng, 12)
+    rule = semigroup._wedge_rule(0.5, fit_sector(numerical_range(t, 64), margin=0.05), 16)
+    assert len(rule.nodes) > 2 * TRACE_CHUNK_NODES
+    h = sla.hessenberg(t)
+    f = lambda z: cmath.exp(-0.5 * z)
+    terms = [w * f(z) * node_trace(h, z) for z, w in zip(rule.nodes, rule.weights)]
+    ref = numcore.pairwise_sum(terms)
+    assert abs(hessenberg_trace_sum(h, rule, f) - ref) <= 1e-12 * abs(ref)
+
+
+def test_trace_engine_rejects_node_on_eigenvalue():
+    h = np.diag([0.0, 1.0]).astype(complex)
+    rule = QuadratureRule(np.array([2.0, 1.0 + 0j]), np.ones(2, dtype=complex), closed=False)
+    with pytest.raises(SpectrumHitError, match="node 1"):
+        hessenberg_trace_sum(h, rule, lambda z: 1.0)

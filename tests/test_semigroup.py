@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sectorial import numcore, semigroup
+from sectorial import contour, numcore, semigroup
 from sectorial.errors import (
     H0NotCoerciveError,
     NotSectorialForBetaError,
@@ -68,6 +68,37 @@ def test_free_energy_path_checks_range_once(rng, monkeypatch):
     assert calls == [64]
     semigroup.free_energy_path([0.5, 1.0], t, fitted(t), check_range=False)
     assert calls == [64]
+
+
+def test_free_energy_path_matches_trace_of_emap(rng):
+    t = rand_sectorial(rng, 16)
+    sec = fitted(t)
+    betas = [0.7, 1.3 + 0.4j, 0.9 - 0.3j]
+    zs, _ = semigroup.free_energy_path(betas, t, sec)
+    for b, z in zip(betas, zs):
+        ref = np.trace(semigroup.emap(b, t, sec, check_range=False))
+        assert abs(z - ref) <= 1e-12 * abs(ref), f"beta {b}"
+
+
+def test_free_energy_path_rejects_later_wide_beta(rng):
+    t = rand_sectorial(rng, 6)
+    with pytest.raises(NotSectorialForBetaError):
+        semigroup.free_energy_path([0.5, 1.0, cmath.rect(1.0, 1.5)], t, fitted(t))
+
+
+def test_free_energy_path_is_trace_only(rng, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("matrix engine reached")
+
+    reductions = []
+    hessenberg = semigroup.sla.hessenberg
+    monkeypatch.setattr(contour, "_resolvent_nodes", boom)
+    monkeypatch.setattr(semigroup, "emap", boom)
+    monkeypatch.setattr(semigroup.sla, "hessenberg",
+                        lambda a: reductions.append(a.shape) or hessenberg(a))
+    t = rand_sectorial(rng, 8)
+    semigroup.free_energy_path([0.5, 1.0 + 0.2j, 1.5], t, fitted(t))
+    assert reductions == [(8, 8)]
 
 
 def test_emap_semigroup_law(rng):
