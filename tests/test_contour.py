@@ -32,6 +32,7 @@ from sectorial.errors import (
     EmptyEnclosureError,
     GammaHitsSpectrumError,
     NotAProjectionError,
+    SingularMatrixError,
     SpectrumHitError,
 )
 from sectorial.forms import Sector, fit_sector, numerical_range
@@ -289,9 +290,25 @@ def test_enclosed_count(rng):
 
 # -- the streaming engine -------------------------------------------------------
 
+def node_resolvent(h, z):
+    """R(z, H) from the engine's per-node step on a one-node rule."""
+    (r,) = contour._resolvent_nodes(h, QuadratureRule(np.array([complex(z)]),
+                                                      np.array([1.0 + 0j]), closed=False))
+    return r
+
+
 def reference_sums(a, rule, funcs):
-    """Per-node solve, then pairwise_sum over every weighted term: the batch
-    definition the streaming engine must reproduce bit for bit."""
+    """Hessenberg form A = Q H Q*, the per-node resolvent of H one node at a
+    time, pairwise_sum over every weighted term, then Q S Q*: the definition
+    the chunked, streaming engine must reproduce bit for bit."""
+    h, q = sla.hessenberg(a, calc_q=True)
+    res = [node_resolvent(h, z) for z in rule.nodes]
+    return [q @ numcore.pairwise_sum([w * f(z) * r for z, w, r in zip(rule.nodes, rule.weights, res)])
+            @ q.conj().T for f in funcs]
+
+
+def dense_reference_sums(a, rule, funcs):
+    """Dense per-node solve of A - zI, then pairwise_sum over every term."""
     eye = np.eye(a.shape[0], dtype=complex)
     res = [np.linalg.solve(a - z * eye, eye) for z in rule.nodes]
     return [numcore.pairwise_sum([w * f(z) * r for z, w, r in zip(rule.nodes, rule.weights, res)])
@@ -364,6 +381,75 @@ def test_track_step_is_one_pass_and_one_oracle(monkeypatch):
     assert sum(len(rule.nodes) for _, rule in solves) == steps * 128
     assert len(solves) == steps * 128 // CHUNK_NODES
     assert len(oracles) == steps
+
+
+def test_engine_matches_dense_solve_reference(rng):
+    near_jordan = 2.0 * np.eye(12) + np.diag(np.ones(11), 1)
+    near_jordan[-1, 0] = 1e-10
+    q = np.linalg.qr(rand_complex(rng, 12))[0]
+    deflated = np.triu(rand_complex(rng, 10), -1)
+    deflated[5, 4] = 0.0
+    # subdiagonal 10 against entries ~0.1: rows swap at every step for
+    # every node of the radius-5 circle (asserted below)
+    swapping = np.triu(0.1 * rand_complex(rng, 10))
+    swapping[np.arange(1, 10), np.arange(9)] = 10.0
+    nonnormal = np.diag(np.arange(8.0)) + 3.0 * np.triu(rand_complex(rng, 8), 1)
+    cases = {
+        "random non-normal": (rand_complex(rng, 16), Circle(0.0, 3.0, 64)),
+        "graded non-normal": (nonnormal, Circle(2.0, 1.5, 64)),
+        "near-Jordan": (q @ near_jordan @ q.conj().T, Circle(2.0, 1.5, 64)),
+        "deflated Hessenberg": (deflated, Circle(0.0, 2.5, 64)),
+        "pivot swap at every step": (swapping, Circle(0.0, 5.0, 128)),
+        "n=1": (np.array([[0.7 + 0.1j]]), Circle(0.5, 1.0, 32)),
+        "n=2": (rand_complex(rng, 2), Circle(0.0, 4.0, 33)),
+    }
+    assert sla.hessenberg(deflated)[5, 4] == 0.0
+    funcs = [lambda z: 1.0, lambda z: z]
+    for name, (a, c) in cases.items():
+        rule = c.rule()
+        # the O(n^2) LU swaps rows exactly where LAPACK's GEPP does
+        h = sla.hessenberg(a)
+        _, _, swap = contour._hessenberg_lu(h, rule.nodes)
+        n = a.shape[0]
+        gepp = [sla.lu_factor(h - z * np.eye(n))[1][:-1] == np.arange(1, n) for z in rule.nodes]
+        assert np.array_equal(swap, np.array(gepp).reshape(swap.shape)), name
+        assert swap.all() or name != "pivot swap at every step"
+        for got, ref in zip(contour.resolvent_sums(a, rule, funcs), dense_reference_sums(a, rule, funcs)):
+            assert np.linalg.norm(ref) > 1.0, name
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+
+def test_engine_node_on_eigenvalue_raises_singular():
+    a = np.diag([0.0, 1.0, 3.0]).astype(complex)
+    rule = QuadratureRule(np.array([2.0, 1.0 + 0j]), np.ones(2, dtype=complex), closed=False)
+    with pytest.raises(SingularMatrixError, match="pivot"):
+        contour.resolvent_sums(a, rule, [lambda z: 1.0])
+
+
+def test_engine_reduces_once_per_call(rng, monkeypatch):
+    t = rand_sectorial(rng, 6)
+    sec = fit_sector(numerical_range(t, 64), margin=0.05)
+    calls = []
+    hessenberg = sla.hessenberg
+    monkeypatch.setattr(contour.sla, "hessenberg",
+                        lambda *args, **kw: calls.append(args) or hessenberg(*args, **kw))
+    semigroup.emap(0.8, t, sec, check_range=False)
+    assert len(calls) == 1
+
+
+def test_gauss_rule_is_computed_once_per_order(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda order: calls.append(order) or leggauss(order))
+    contour._legendre.cache_clear()
+    first = Polyline(vertices=(0.0, 2.0, 1.0 + 2.0j), order=16, panels=4).rule()
+    again = Polyline(vertices=(0.0, 2.0, 1.0 + 2.0j), order=16, panels=4).rule()
+    assert calls == [16]
+    assert same_bits(first.nodes, again.nodes) and same_bits(first.weights, again.weights)
+    x, w = leggauss(16)
+    assert same_bits(contour._legendre(16)[0], x) and same_bits(contour._legendre(16)[1], w)
+    contour._legendre.cache_clear()
 
 
 # -- trace engine ---------------------------------------------------------------
