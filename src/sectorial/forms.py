@@ -4,7 +4,8 @@ A form t[phi, psi] = phi* T psi is carried by its dense matrix T.  The
 numerical range boundary is sampled by the rotated-hermitian-part sweep: for
 each angle the top eigenvector of Re(e^{-i phi} T) supplies one boundary
 point and one support value, and convexity of the sampled polygon is a
-checkable invariant.
+checkable invariant.  Containment of Num t in a sector is decided exactly
+from three support values (:meth:`Sector.require_range`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import NoConvergenceError, NotSectorialError
+from .errors import NoConvergenceError, NotSectorialError, SectorViolationError
 from .numcore import as_matrix
 
 CONVEXITY_SLACK = 1e-10
@@ -51,6 +52,38 @@ class Sector:
         dx = z.real - self.vertex
         ok = (dx >= -slack) & (np.abs(z.imag) <= math.tan(self.half_angle) * np.maximum(dx, 0.0) + slack)
         return bool(np.all(ok))
+
+    def require_range(self, t) -> None:
+        """Raise SectorViolationError unless Num T lies in the wedge.
+
+        Num T is convex, so it lies in the wedge exactly when its support
+        value lambda_max(Re(e^{-i phi} T)) is at most Re(e^{-i phi} vertex) at
+        the wedge's three outward normals: phi = pi at the vertex and
+        +-(pi/2 + half_angle) on the edges (Johnson, SIAM J. Numer. Anal. 15,
+        1978).  The vertex normal matters at half_angle = 0, where the two edge
+        half-planes alone admit points left of the vertex.  The slack is 1e-9
+        relative to the largest |support value| (at least 1e-9); the error
+        names the side with the largest excess over its bound.
+        """
+        tr, ti = hermitian_split(t)
+        n = tr.shape[0]
+        edge = math.pi / 2 + self.half_angle
+        excess, support = {}, []
+        for side, phi in (("vertex", math.pi), ("upper edge", edge), ("lower edge", -edge)):
+            try:
+                top = float(sla.eigh(math.cos(phi) * tr + math.sin(phi) * ti, eigvals_only=True,
+                                     subset_by_index=[n - 1, n - 1], check_finite=False)[0])
+            except sla.LinAlgError as exc:  # pragma: no cover
+                raise NoConvergenceError(str(exc)) from exc
+            support.append(abs(top))
+            excess[side] = top - self.vertex * math.cos(phi)
+        slack = 1e-9 * max(1.0, *support)
+        side = max(excess, key=excess.get)
+        if not excess[side] <= slack:  # a NaN excess fails too
+            raise SectorViolationError(
+                f"numerical range escapes Sec(vertex={self.vertex!r}, "
+                f"half_angle={self.half_angle!r}) past the {side}: "
+                f"excess {excess[side]:.6e} > slack {slack:.6e}")
 
     def distance(self, z: complex) -> float:
         """Euclidean distance from z to the closed wedge (0 inside)."""

@@ -6,7 +6,9 @@ hermitian form.
 :func:`emap` and everything built on the full matrix e^{-beta T} go through
 the resolvent engine; :func:`free_energy_path`, which needs only
 Z = Tr e^{-beta T}, reduces T to Hessenberg form once per path and takes
-each Z from resolvent traces on the same wedge contour.
+each Z from resolvent traces on the same wedge contour.  Each checks its
+precondition Num T inside the sector once, exactly, through
+:meth:`Sector.require_range` (three top eigenvalues).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .contour import QuadratureRule, adapted_sector_boundary, hessenberg_trace_s
 from .errors import (
     H0NotCoerciveError,
     NotSectorialForBetaError,
-    SectorViolationError,
     ZeroPartitionFunctionError,
 )
 from .forms import Sector, hermitian_split, numerical_range, fit_sector
@@ -65,27 +66,20 @@ def _wedge_rule(beta: complex, sector: Sector, order: int) -> QuadratureRule:
     return path.rule()
 
 
-def _check_range(t: np.ndarray, sector: Sector, range_nodes: int) -> None:
-    """Num T inside the sector, through the sampled boundary."""
-    boundary = numerical_range(t, range_nodes)
-    slack = 1e-9 * max(1.0, float(np.abs(boundary.points).max()))
-    if not sector.contains(boundary.points, slack=slack):
-        raise SectorViolationError("numerical range escapes the supplied sector")
-
-
 def emap(beta: complex, t, sector: Sector, order: int = 16,
-         range_nodes: int = RANGE_NODES, check_range: bool = True) -> np.ndarray:
+         check_range: bool = True) -> np.ndarray:
     """e^{-beta T} = (1/2 pi i) * integral of e^{-beta zeta} R(zeta, T) d zeta
     over a truncated wedge boundary exterior to a dilation of ``sector``.
 
     Preconditions: |arg beta| + half_angle < pi/2 and Num T inside the sector
-    (checked through the sampled boundary unless ``check_range=False``).
+    (checked exactly by :meth:`Sector.require_range` unless
+    ``check_range=False``); either failure raises.
     """
     t = as_matrix(t)
     beta = complex(beta)
     rule = _wedge_rule(beta, sector, order)
     if check_range:
-        _check_range(t, sector, range_nodes)
+        sector.require_range(t)
     (total,) = resolvent_sums(t, rule, [lambda z: cmath.exp(-beta * z)])
     return total / (2j * math.pi)
 
@@ -123,14 +117,14 @@ def thermal_expectation(state: ThermalState, b) -> complex:
 
 
 def free_energy_path(betas, t, sector: Sector, z_floor_factor: float = 1e-12,
-                     check_range: bool = True, order: int = 16,
-                     range_nodes: int = RANGE_NODES):
+                     order: int = 16):
     """Free energies along a beta path with the phase of Z unwrapped.
 
     Standalone :func:`thermal_state` uses the principal log branch; along a
     continuous path the argument of Z is unwrapped instead so F cannot jump
     across the cut.  Every beta is checked admissible, then Num T inside the
-    sector once for the whole path.  Z = Tr e^{-beta T} is the trace of the
+    sector once for the whole path, exactly, by :meth:`Sector.require_range`.
+    Z = Tr e^{-beta T} is the trace of the
     integral :func:`emap` takes, on the same wedge contour, from one
     Hessenberg reduction of T and :func:`hessenberg_trace_sum`; no n x n
     resolvent or e^{-beta T} is formed.  Returns (Z array, F array).
@@ -138,8 +132,7 @@ def free_energy_path(betas, t, sector: Sector, z_floor_factor: float = 1e-12,
     t = as_matrix(t)
     betas = [complex(b) for b in betas]
     rules = [_wedge_rule(b, sector, order) for b in betas]
-    if check_range:
-        _check_range(t, sector, range_nodes)
+    sector.require_range(t)
     h = sla.hessenberg(t)
     zs = np.array([hessenberg_trace_sum(h, rule, lambda z: cmath.exp(-b * z)) / (2j * math.pi)
                    for b, rule in zip(betas, rules)])
@@ -159,7 +152,8 @@ def duhamel_first_order(beta: complex, h, t_dir, s_nodes: int = DEFAULT_S_NODES,
 
     Equals the directional derivative of eps -> e^{-beta (H + eps T)} at 0.
     Gauss-Legendre in s; the node set is symmetric so each semigroup factor
-    is computed once.  The sector defaults to a fit of Num H.
+    is computed once.  The sector defaults to a fit of Num H; a supplied one
+    is checked once to contain Num H (SectorViolationError otherwise).
     """
     h = as_matrix(h)
     t_dir = as_matrix(t_dir)
@@ -167,6 +161,8 @@ def duhamel_first_order(beta: complex, h, t_dir, s_nodes: int = DEFAULT_S_NODES,
         return np.zeros_like(h)
     if sector is None:
         sector = fit_sector(numerical_range(h, RANGE_NODES), margin=margin)
+    else:
+        sector.require_range(h)
     x, w = np.polynomial.legendre.leggauss(s_nodes)
     s = (x + 1.0) / 2.0
     w = w / 2.0

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread: threaded OpenBLAS is slower on these small matrices and
+# its timings vary with the machine's load.  Must precede the numpy import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

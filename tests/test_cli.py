@@ -198,7 +198,7 @@ def test_thermal_bad_beta_is_config_error(tmp_path, capsys, beta):
     assert err["error"] == "ConfigError"
 
 
-def test_thermal_sweeps_range_twice(tmp_path, monkeypatch):
+def test_thermal_sweeps_range_once(tmp_path, monkeypatch):
     calls = []
     sweep = forms.numerical_range
     spy = lambda t, m: calls.append(m) or sweep(t, m)
@@ -209,8 +209,21 @@ def test_thermal_sweeps_range_twice(tmp_path, monkeypatch):
         "matrix": {"demo": "two_level"}, "beta": {"start": 0.5, "stop": 2.0, "num": 3},
     })
     assert run(str(cfg)) == 0
-    # one sweep fits the sector, one checks it for the whole path
-    assert len(calls) == 2
+    # the sweep fits the sector; containment is checked from support values
+    assert len(calls) == 1
+
+
+def test_thermal_sector_violation_exit_3(tmp_path, capsys):
+    # Num diag(0, 1) = [0, 1] reaches 0.5 left of the vertex
+    cfg = write_cfg(tmp_path, "c.json", {
+        "subcommand": "thermal", "seed": 0, "output_dir": str(tmp_path / "out"),
+        "matrix": {"demo": "two_level"}, "beta": {"start": 0.5, "stop": 2.0, "num": 3},
+        "sector": {"vertex": 0.5, "half_angle": 0.1},
+    })
+    assert run(str(cfg)) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "SectorViolationError"
+    assert "past the vertex: excess 5.000000e-01" in err["message"]
 
 
 def test_exit_3_on_numerical_failure(tmp_path, capsys):

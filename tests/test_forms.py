@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sectorial import forms, numcore
-from sectorial.errors import NotSectorialError
+from sectorial.errors import NotSectorialError, SectorViolationError
 
 from conftest import rand_complex, rand_hermitian
 
@@ -137,6 +137,27 @@ def test_sector_geometry():
     assert sec.distance(1.0j) == pytest.approx(math.sin(math.pi / 4), abs=1e-12)
     assert sec.distance(-1.0) == pytest.approx(1.0, abs=1e-12)
     assert sec.distance(1.0) == 0.0
+
+
+def test_require_range_zero_half_angle_needs_vertex_normal():
+    # at half_angle 0 the two edge half-planes alone admit Re z < vertex
+    sec = forms.Sector(vertex=0.5, half_angle=0.0)
+    with pytest.raises(SectorViolationError, match="past the vertex: excess 3.0"):
+        sec.require_range(np.diag([0.2, 1.0]))
+    sec.require_range(np.diag([1.0, 2.0]))
+
+
+def test_require_range_is_exact_between_sweep_angles():
+    # Num T is the disk |z - 1| <= 1/2; the wedge's edges cut it by 5e-5 at
+    # normals halfway between two of 128 sweep angles, where every sampled
+    # boundary point still lies inside the wedge
+    t = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    theta = 2.0 * math.pi * 42.5 / 128 - math.pi / 2
+    cut = forms.Sector(1.0 - 0.49995 / math.sin(theta), theta)
+    assert cut.contains(forms.numerical_range(t, 128).points, slack=1e-9)
+    with pytest.raises(SectorViolationError, match="past the upper edge: excess 5.0000"):
+        cut.require_range(t)
+    forms.Sector(1.0 - 0.50005 / math.sin(theta), theta).require_range(t)
 
 
 def test_hull_distance_matches_known_cases():

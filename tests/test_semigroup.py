@@ -59,15 +59,28 @@ def test_free_energy_path_rejects_escaping_range(rng):
         semigroup.free_energy_path([1.0, 0.5], t, Sector(vertex=10.0, half_angle=0.01))
 
 
+def test_range_check_is_exact_between_sweep_angles():
+    # Num T = disk |z - 1| <= 1/2 crosses both edges by 5e-5 between two of
+    # the 128 sweep angles a sampled check would look at
+    t = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    theta = 2.0 * math.pi * 42.5 / 128 - math.pi / 2
+    sec = Sector(1.0 - 0.49995 / math.sin(theta), theta)
+    with pytest.raises(SectorViolationError):
+        semigroup.emap(0.5, t, sec)
+    with pytest.raises(SectorViolationError):
+        semigroup.free_energy_path([0.5, 1.0], t, sec)
+
+
 def test_free_energy_path_checks_range_once(rng, monkeypatch):
     calls = []
-    monkeypatch.setattr(semigroup, "numerical_range",
-                        lambda t, m: calls.append(m) or numerical_range(t, m))
+    require = Sector.require_range
+    monkeypatch.setattr(Sector, "require_range",
+                        lambda sec, t: calls.append(t.shape) or require(sec, t))
     t = rand_sectorial(rng, 6)
-    semigroup.free_energy_path([0.5, 1.0, 1.5], t, fitted(t), range_nodes=64)
-    assert calls == [64]
-    semigroup.free_energy_path([0.5, 1.0], t, fitted(t), check_range=False)
-    assert calls == [64]
+    semigroup.free_energy_path([0.5, 1.0, 1.5], t, fitted(t))
+    assert calls == [(6, 6)]
+    semigroup.free_energy_path([0.5, 1.0], t, fitted(t))
+    assert calls == [(6, 6)] * 2
 
 
 def test_free_energy_path_matches_trace_of_emap(rng):
@@ -224,6 +237,14 @@ def test_duhamel_matches_finite_difference(rng):
     fd = (numcore.expm_oracle(-beta * (h + eps * t))
           - numcore.expm_oracle(-beta * (h - eps * t))) / (2 * eps)
     assert np.linalg.norm(out - fd, 2) <= 1e-5 * np.linalg.norm(fd, 2)
+
+
+def test_duhamel_checks_supplied_sector(rng):
+    h = rand_sectorial(rng, 6, angle=0.4)
+    t = rand_hermitian(rng, 6, lo=-1.0, hi=1.0)
+    with pytest.raises(SectorViolationError):
+        semigroup.duhamel_first_order(1.0, h, t, s_nodes=8,
+                                      sector=Sector(vertex=10.0, half_angle=0.01))
 
 
 def test_of_norm_self_and_rotation(rng):
