@@ -280,9 +280,7 @@ def run_thermal(cfg, outdir: Path, tol: dict, seed: int) -> dict:
             for b, z, f in zip(betas, zs, fs)]
     write_csv(outdir / "thermal.csv",
               ["re_beta", "im_beta", "re_Z", "im_Z", "re_F", "im_F"], rows)
-    last = semigroup.thermal_state(betas[-1], matrix, sector)
     return {"n_beta": len(betas),
-            "trace_rho_defect": float(abs(np.trace(last.rho) - 1.0)),
             "sector": {"vertex": sector.vertex, "half_angle": sector.half_angle}}
 
 

@@ -4,18 +4,21 @@ isolated-eigenvalue extraction, and low-energy truncation across a vertical
 splitting line.
 
 Circles use the trapezoid rule (exponentially convergent for analytic
-integrands); straight segments and sector rays use composite Gauss-Legendre
-panels.  Every contour quantity goes through one engine, :func:`resolvent_sums`,
-which reduces A = Q H Q* to Hessenberg form once per call, forms each node's
+integrands); straight segments use composite Gauss-Legendre panels.  The
+hyperbolic rules for e^{-beta T} are built in :mod:`semigroup`.  Every
+contour quantity goes through one engine, :func:`resolvent_sums`, which
+reduces A = Q H Q* to Hessenberg form once per call, forms each node's
 resolvent of H from an O(n^2) shifted Hessenberg LU and one triangular
 inverse (~n^3/6 multiply-adds against ~4n^3/3 for a dense LU and solve;
 Wilkinson, *The Algebraic Eigenvalue Problem*, 1965, ch. 7), folds the
 weighted terms in a fixed pairwise order and conjugates each sum by Q once
-at the end.  Nodes are solved in fixed chunks, so results do not depend on
-evaluation scheduling and memory does not grow with the node count.  Sums
-that need only the trace of the resolvent use its trace-only counterpart,
-:func:`hessenberg_trace_sum`, which never forms a resolvent: O(n^2) per node
-by Hyman's method, summed in the same fixed order.
+at the end.  Nodes are solved in chunks of at most CHUNK_NODES nodes and
+CHUNK_BYTES of resolvents, so results do not depend on evaluation
+scheduling and memory grows with neither the node count nor, past
+n = 1024, the chunk.  Sums that need only the trace of the resolvent use
+its trace-only counterpart, :func:`hessenberg_trace_sum`, which never forms
+a resolvent: O(n^2) per node by Hyman's method, summed in the same fixed
+order.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import (
     EmptyEnclosureError,
     GammaHitsSpectrumError,
     NotAProjectionError,
-    NumericalFailure,
     SpectrumHitError,
 )
 from .forms import Sector
@@ -43,7 +45,8 @@ from .numcore import PairwiseAccumulator, as_matrix, eigvals_oracle, pairwise_su
 DEFAULT_CIRCLE_NODES = 128
 DEFAULT_GAUSS_ORDER = 16
 CLEARANCE_FACTOR = 10.0
-CHUNK_NODES = 32  # nodes per Hessenberg LU batch in resolvent_sums
+CHUNK_NODES = 32  # most nodes per Hessenberg LU batch in resolvent_sums
+CHUNK_BYTES = 2 ** 29  # most bytes of resolvents per batch: 32 nodes at n = 1024
 TRACE_CHUNK_NODES = 256  # nodes per vectorized recurrence in hessenberg_trace_sum
 _HYMAN_BIG = 2.0 ** 256
 
@@ -178,75 +181,6 @@ class RightBoundary:
     sector: Sector
 
 
-@dataclass(frozen=True)
-class SectorBoundary:
-    """Truncated boundary of a wedge, traversed lower ray inward then upper
-    ray outward (the orientation that makes the exponential calculus come out
-    with unit winding around the enclosed spectrum).
-
-    ``breaks`` are the radial panel boundaries, 0 = first entry, truncation
-    radius = last entry.
-    """
-
-    vertex: complex
-    half_angle: float
-    breaks: tuple
-    order: int = DEFAULT_GAUSS_ORDER
-
-    @property
-    def radius(self) -> float:
-        return float(self.breaks[-1])
-
-    def rule(self) -> QuadratureRule:
-        up = np.exp(1j * self.half_angle)
-        down = np.exp(-1j * self.half_angle)
-        t_nodes, t_weights = [], []
-        for lo, hi in zip(self.breaks[:-1], self.breaks[1:]):
-            n, w = _gauss_panel(complex(lo), complex(hi), self.order)
-            t_nodes.append(n.real)
-            t_weights.append(w.real)
-        t = np.concatenate(t_nodes)
-        wt = np.concatenate(t_weights)
-        # integral over the path = int_0^R [g(v + t e^{i a}) e^{i a}
-        #                                  - g(v + t e^{-i a}) e^{-i a}] dt
-        nodes = np.concatenate([self.vertex + t[::-1] * down, self.vertex + t * up])
-        weights = np.concatenate([-wt[::-1] * down, wt * up])
-        return QuadratureRule(nodes=nodes, weights=weights, closed=False)
-
-
-def adapted_sector_boundary(vertex: complex, half_angle: float, radius: float,
-                            inner: Sector, max_panel: float | None = None,
-                            order: int = DEFAULT_GAUSS_ORDER,
-                            max_panels: int = 20000) -> SectorBoundary:
-    """Sector boundary with radial panels graded by the local distance to the
-    enclosed (inner) sector.
-
-    The spectrum sits inside ``inner``, so a panel no longer than ~1.2x the
-    distance from its start to that wedge keeps the Gauss rule deep in its
-    exponential-convergence regime; ``max_panel`` additionally resolves
-    exponential factors of a known oscillation/decay scale.
-    """
-    direction = np.exp(1j * half_angle)
-    breaks = [0.0]
-    floor = 1e-6 * max(1.0, abs(vertex))
-    while breaks[-1] < radius:
-        if len(breaks) > max_panels:
-            raise NumericalFailure(
-                f"sector-boundary panel budget {max_panels} exhausted at "
-                f"t = {breaks[-1]:.3e} of {radius:.3e}; the wedge geometry is "
-                "too thin to resolve")
-        t = breaks[-1]
-        d = inner.distance(complex(vertex + t * direction))
-        # the distance function is 1-Lipschitz: step <= d/2 keeps every point
-        # of the panel at least d/2 away from the enclosed wedge
-        step = max(0.5 * d, floor)
-        if max_panel is not None:
-            step = min(step, max_panel)
-        breaks.append(min(radius, t + step))
-    return SectorBoundary(vertex=vertex, half_angle=half_angle,
-                          breaks=tuple(breaks), order=order)
-
-
 # -- operator calculus --------------------------------------------------------
 
 def _hessenberg_lu(h: np.ndarray, z: np.ndarray):
@@ -319,6 +253,12 @@ def _resolvent_nodes(a: np.ndarray, rule: QuadratureRule) -> list[np.ndarray]:
     return list(res)
 
 
+def _chunk_nodes(n: int) -> int:
+    """Nodes per resolvent batch at dimension n: CHUNK_NODES, or fewer when
+    their n x n complex resolvents would pass CHUNK_BYTES (at least one)."""
+    return min(CHUNK_NODES, max(1, CHUNK_BYTES // (16 * n * n)))
+
+
 def _fold_chunk(sums, funcs, chunk: QuadratureRule, resolvents) -> None:
     for z, w, r in zip(chunk.nodes, chunk.weights, resolvents):
         for f, acc in zip(funcs, sums):
@@ -331,18 +271,20 @@ def resolvent_sums(a: np.ndarray, rule: QuadratureRule, funcs) -> list:
     The one quadrature engine behind every contour quantity.  A = Q H Q* is
     reduced to Hessenberg form once per call (a finite reduction, not an
     eigen-solver), so each node costs an O(n^2) LU and one triangular inverse
-    (:func:`_resolvent_nodes`).  Nodes are solved CHUNK_NODES at a time and
+    (:func:`_resolvent_nodes`).  Nodes are solved :func:`_chunk_nodes` at a
+    time (CHUNK_NODES up to n = 1024, then CHUNK_BYTES of resolvents) and
     each weighted term is folded at once into a :class:`PairwiseAccumulator`
-    per f, so memory is O((CHUNK_NODES + len(funcs) * log2 m) n^2) whatever
+    per f, so memory is O(CHUNK_BYTES + len(funcs) * log2 m * n^2) whatever
     the node count m, and every sum equals ``pairwise_sum`` over the m terms
     bit for bit.  Q commutes with the node sum: each total S becomes Q S Q*
     once, at the end.
     """
     h, q = sla.hessenberg(as_matrix(a), calc_q=True, check_finite=False)
     sums = [PairwiseAccumulator() for _ in funcs]
-    for lo in range(0, len(rule.nodes), CHUNK_NODES):
-        chunk = QuadratureRule(nodes=rule.nodes[lo:lo + CHUNK_NODES],
-                               weights=rule.weights[lo:lo + CHUNK_NODES], closed=False)
+    step = _chunk_nodes(h.shape[0])
+    for lo in range(0, len(rule.nodes), step):
+        chunk = QuadratureRule(nodes=rule.nodes[lo:lo + step],
+                               weights=rule.weights[lo:lo + step], closed=False)
         # a helper call, so the chunk's resolvents are freed before the next solve
         _fold_chunk(sums, funcs, chunk, _resolvent_nodes(h, chunk))
     qh = q.conj().T

@@ -142,6 +142,8 @@ def hellmann_feynman(family_f, x, w, contour: Circle, dfamily=None,
                      adjoint_tol: float = 1e-7, fd_step: float = 1e-2) -> complex:
     """Directional eigenvalue derivative <eta| (D h . w) |phi> at parameter x.
 
+    P and AP come from one resolvent pass; the energy is Tr AP.
+
     ``dfamily(x, w)`` supplies the directional derivative of the form matrix;
     when omitted it is taken as the central difference of family_f over
     x +/- fd_step * w, which is exact (to rounding) for families of
@@ -149,9 +151,9 @@ def hellmann_feynman(family_f, x, w, contour: Circle, dfamily=None,
     as an adjoint eigenvector: |H* eta - conj(E) eta| <= adjoint_tol * |H|.
     """
     matrix = as_matrix(family_f(x))
-    proj = riesz_projection(matrix, contour)
+    proj, ap, _ = spectral_pair(matrix, contour)
     pair = rank_one_decompose(proj)
-    energy = complex(np.trace(matrix @ proj))
+    energy = complex(np.trace(ap))
     resid = matrix.conj().T @ pair.eta - np.conj(energy) * pair.eta
     scale = np.linalg.norm(matrix, 2)
     if np.linalg.norm(resid) > adjoint_tol * max(1.0, scale):

@@ -85,21 +85,6 @@ class Sector:
                 f"half_angle={self.half_angle!r}) past the {side}: "
                 f"excess {excess[side]:.6e} > slack {slack:.6e}")
 
-    def distance(self, z: complex) -> float:
-        """Euclidean distance from z to the closed wedge (0 inside)."""
-        w = complex(z) - self.vertex
-        if w == 0:
-            return 0.0
-        a = abs(math.atan2(w.imag, w.real))
-        if a <= self.half_angle:
-            return 0.0
-        if a <= self.half_angle + math.pi / 2:
-            return abs(w) * math.sin(a - self.half_angle)
-        return abs(w)
-
-    def dilated(self, angle_margin: float, vertex_shift: float = 0.0) -> "Sector":
-        return Sector(self.vertex - vertex_shift, self.half_angle + angle_margin)
-
 
 @dataclass(frozen=True)
 class NumericalRangeBoundary:

@@ -226,6 +226,34 @@ def test_thermal_sector_violation_exit_3(tmp_path, capsys):
     assert "past the vertex: excess 5.000000e-01" in err["message"]
 
 
+def test_thermal_thin_room_exit_3(tmp_path, capsys):
+    # |arg beta| + half_angle leaves a room of 1e-6: the hyperbola would need
+    # ~1e8 nodes, over the node budget
+    cfg = write_cfg(tmp_path, "c.json", {
+        "subcommand": "thermal", "seed": 0, "output_dir": str(tmp_path / "out"),
+        "matrix": {"demo": "two_level"}, "beta": [[1.0, 0.0]],
+        "sector": {"vertex": -0.05, "half_angle": math.pi / 2 - 1e-6},
+    })
+    assert run(str(cfg)) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "NumericalFailure"
+    assert "room = 1.000e-06" in err["message"] and "budget" in err["message"]
+
+
+def test_thermal_never_forms_the_exponential(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("emap reached")
+
+    monkeypatch.setattr(semigroup, "emap", boom)
+    cfg = write_cfg(tmp_path, "c.json", {
+        "subcommand": "thermal", "seed": 0, "output_dir": str(tmp_path / "out"),
+        "matrix": {"demo": "two_level"}, "beta": {"start": 0.5, "stop": 2.0, "num": 3},
+    })
+    assert run(str(cfg)) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert "trace_rho_defect" not in summary["summary"]
+
+
 def test_exit_3_on_numerical_failure(tmp_path, capsys):
     # contour through the spectrum
     mat = numcore.matrix_to_json(np.diag([0.0, 1.0]).astype(complex))

@@ -15,8 +15,6 @@ from sectorial.contour import (
     Polyline,
     QuadratureRule,
     RightBoundary,
-    SectorBoundary,
-    adapted_sector_boundary,
     enclosed_count,
     extract_eigenvalue,
     hessenberg_trace_sum,
@@ -62,16 +60,6 @@ def test_polyline_rule_self_test():
     rule = tri.rule()
     rule.self_test(interior=tri.interior_hint())
     assert rule.winding(1.0 + 0.5j) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_sector_boundary_is_open_and_graded():
-    path = adapted_sector_boundary(vertex=-0.5, half_angle=0.6, radius=20.0,
-                                   inner=Sector(vertex=0.0, half_angle=0.2))
-    rule = path.rule()
-    assert not rule.closed
-    assert isinstance(path, SectorBoundary)
-    steps = np.diff(path.breaks)
-    assert steps[-2] > steps[0]  # grows away from the vertex
 
 
 def test_riesz_diagonal_projector():
@@ -354,7 +342,8 @@ def test_emap_is_bitwise_batch_reference(rng, monkeypatch):
     engine = semigroup.resolvent_sums
     monkeypatch.setattr(semigroup, "resolvent_sums",
                         lambda a, rule, funcs: rules.append(rule) or engine(a, rule, funcs))
-    beta = 1.2 * cmath.exp(0.1j)
+    # |arg beta| at 0.8 of pi/2 - half_angle leaves a thin room: ~370 nodes
+    beta = 1.2 * cmath.exp(0.8j * (math.pi / 2 - sec.half_angle))
     e = semigroup.emap(beta, t, sec, check_range=False)
     (rule,) = rules
     assert len(rule.nodes) > 10 * CHUNK_NODES
@@ -493,19 +482,22 @@ def test_hyman_traces_match_dense_trace(rng):
 
 def test_hyman_traces_on_sector_nodes_dim256(rng):
     t = rand_sectorial(rng, 256)
-    rule = semigroup._wedge_rule(1.0, fit_sector(numerical_range(t, 64), margin=0.05), 16)
+    rule = semigroup._wedge_rule(1.0, fit_sector(numerical_range(t, 64), margin=0.05))
     h = sla.hessenberg(t)
-    for z in rule.nodes[::24]:
+    for z in rule.nodes[::4]:
         ref = dense_trace(t, z)
         assert abs(node_trace(h, z) - ref) <= 1e-12 * abs(ref), f"node {z}"
 
 
 def test_trace_sum_chunks_in_node_order(rng):
     t = rand_sectorial(rng, 12)
-    rule = semigroup._wedge_rule(0.5, fit_sector(numerical_range(t, 64), margin=0.05), 16)
+    sec = fit_sector(numerical_range(t, 64), margin=0.05)
+    # |arg beta| at 0.9 of pi/2 - half_angle leaves a thin room: ~860 nodes
+    beta = 0.5 * cmath.exp(0.9j * (math.pi / 2 - sec.half_angle))
+    rule = semigroup._wedge_rule(beta, sec)
     assert len(rule.nodes) > 2 * TRACE_CHUNK_NODES
     h = sla.hessenberg(t)
-    f = lambda z: cmath.exp(-0.5 * z)
+    f = lambda z: cmath.exp(-beta * z)
     terms = [w * f(z) * node_trace(h, z) for z, w in zip(rule.nodes, rule.weights)]
     ref = numcore.pairwise_sum(terms)
     assert abs(hessenberg_trace_sum(h, rule, f) - ref) <= 1e-12 * abs(ref)
@@ -516,3 +508,11 @@ def test_trace_engine_rejects_node_on_eigenvalue():
     rule = QuadratureRule(np.array([2.0, 1.0 + 0j]), np.ones(2, dtype=complex), closed=False)
     with pytest.raises(SpectrumHitError, match="node 1"):
         hessenberg_trace_sum(h, rule, lambda z: 1.0)
+
+
+def test_chunk_nodes_bound_the_chunk_bytes():
+    # 32 nodes up to n = 1024 (2**29 bytes of resolvents), fewer above
+    assert contour._chunk_nodes(256) == CHUNK_NODES == 32
+    assert contour._chunk_nodes(1024) == 32
+    assert contour._chunk_nodes(2048) == 8
+    assert contour._chunk_nodes(10 ** 5) == 1

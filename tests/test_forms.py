@@ -133,10 +133,6 @@ def test_sector_geometry():
     assert sec.contains([1.0 + 0.5j, 2.0])
     assert not sec.contains([-1.0])
     assert not sec.contains([0.1 + 1.0j])
-    # point on the imaginary axis: angle pi/2, distance = sin(pi/4) * |z|
-    assert sec.distance(1.0j) == pytest.approx(math.sin(math.pi / 4), abs=1e-12)
-    assert sec.distance(-1.0) == pytest.approx(1.0, abs=1e-12)
-    assert sec.distance(1.0) == 0.0
 
 
 def test_require_range_zero_half_angle_needs_vertex_normal():

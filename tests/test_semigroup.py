@@ -8,6 +8,7 @@ from sectorial import contour, numcore, semigroup
 from sectorial.errors import (
     H0NotCoerciveError,
     NotSectorialForBetaError,
+    NumericalFailure,
     SectorViolationError,
     ZeroPartitionFunctionError,
 )
@@ -38,6 +39,51 @@ def test_emap_random_sectorial_vs_oracle(rng):
         e = semigroup.emap(beta, t, sec)
         oracle = numcore.expm_oracle(-beta * t)
         assert np.linalg.norm(e - oracle, 2) <= 1e-6 * np.linalg.norm(oracle, 2)
+
+
+def acceptance_cases(count):
+    """(T, fitted sector) pairs from the exponential-map acceptance generator."""
+    rng = np.random.default_rng(5)
+    for _ in range(count):
+        t = rand_sectorial(rng, int(rng.integers(4, 65)), angle=0.25, lo=0.4, hi=3.0)
+        yield t, fitted(t)
+
+
+def test_hyperbola_vs_oracle(rng):
+    cases = []
+    for t, sec in acceptance_cases(6):
+        room = math.pi / 2 - sec.half_angle
+        cases += [(beta, t, sec) for beta in
+                  (0.6, 1.0, 1.7, cmath.rect(1.0, 0.5 * room), cmath.rect(1.7, -0.5 * room))]
+    # small beta: the nodes zeta = v0 - lambda / beta reach |zeta| ~ 1e4
+    h = rand_hermitian(rng, 12, lo=0.3, hi=2.5)
+    cases.append((0.007, h, fitted(h)))
+    for beta, t, sec in cases:
+        e = semigroup.emap(beta, t, sec, check_range=False)
+        oracle = numcore.expm_oracle(-beta * t)
+        err = np.linalg.norm(e - oracle, 2) / np.linalg.norm(oracle, 2)
+        assert err <= 1e-10, f"n {t.shape[0]} beta {beta}"
+
+
+def test_hyperbola_node_count_follows_the_room():
+    for t, sec in acceptance_cases(15):
+        room = math.pi / 2 - sec.half_angle
+        for arg in np.linspace(-0.5 * room, 0.5 * room, 5):
+            beta = cmath.rect(1.0, arg)
+            assert len(semigroup._wedge_rule(beta, sec).nodes) <= 150, f"beta {beta}"
+    # the count depends on the room alone, not on |beta| or the vertex
+    counts = {len(semigroup._wedge_rule(b, Sector(v, 0.4)).nodes)
+              for b in (0.01, 1.0, 100.0) for v in (-3.0, 0.3)}
+    assert len(counts) == 1
+
+
+def test_thin_room_exceeds_the_node_budget():
+    # the thinnest room the graded wedge rule resolved still fits the budget
+    wide = Sector(0.0, math.pi / 2 - 8.1e-4)
+    assert len(semigroup._wedge_rule(1.0, wide).nodes) <= semigroup.NODE_BUDGET
+    thin = Sector(0.0, math.pi / 2 - 1e-6)
+    with pytest.raises(NumericalFailure, match=r"delta = 1\.570795327, room = 1\.000e-06"):
+        semigroup.emap(1.0, np.eye(2), thin)
 
 
 def test_emap_rejects_wide_beta():
