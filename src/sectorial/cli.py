@@ -52,6 +52,22 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _bounded(block, key: str, default, kind, least, strict: bool = False):
+    """``block[key]`` as ``kind`` (``default`` when ``block`` is not an object
+    or lacks the key; required when ``default`` is None), at least ``least``
+    (above it when ``strict``); ConfigError otherwise."""
+    value = block.get(key, default) if isinstance(block, dict) else default
+    if value is None:
+        raise ConfigError(f"missing required config key '{key}'")
+    try:
+        value = kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad '{key}': {exc}") from exc
+    if not (value > least if strict else value >= least):
+        raise ConfigError(f"'{key}' = {value} must be {'>' if strict else '>='} {least}")
+    return value
+
+
 def parse_matrix(cfg: dict) -> np.ndarray:
     block = _require(cfg, "matrix")
     if isinstance(block, dict) and "demo" in block:
@@ -85,12 +101,13 @@ def parse_contour(cfg: dict, default=None):
     try:
         if kind == "circle":
             c = block["center"]
-            return Circle(center=complex(c[0], c[1]), radius=float(block["radius"]),
-                          nodes=int(block.get("nodes", 128)))
+            return Circle(center=complex(c[0], c[1]),
+                          radius=_bounded(block, "radius", None, float, 0.0, strict=True),
+                          nodes=_bounded(block, "nodes", 128, int, 2))
         if kind == "polyline":
             verts = tuple(complex(v[0], v[1]) for v in block["vertices"])
-            return Polyline(vertices=verts, order=int(block.get("order", 16)),
-                            panels=int(block.get("panels", 8)))
+            return Polyline(vertices=verts, order=_bounded(block, "order", 16, int, 1),
+                            panels=_bounded(block, "panels", 8, int, 1))
         if kind == "right_boundary":
             return RightBoundary(abscissa=float(block["abscissa"]),
                                  sector=parse_sector(block["sector"]))
@@ -173,7 +190,7 @@ def _input_matrix(cfg) -> np.ndarray:
 
 def run_numrange(cfg, outdir: Path, tol: dict, seed: int) -> dict:
     matrix = _input_matrix(cfg)
-    nodes = int((cfg.get("contour") or {}).get("nodes", 256))
+    nodes = _bounded(cfg.get("contour"), "nodes", 256, int, 8)
     boundary = forms.numerical_range(matrix, nodes)
     rows = [[th, p.real, p.imag, s]
             for th, p, s in zip(boundary.angles, boundary.points, boundary.support)]
@@ -203,15 +220,23 @@ def run_riesz(cfg, outdir: Path, tol: dict, seed: int) -> dict:
     return summary
 
 
+def _lattice_circle(matrix) -> Circle:
+    """Default 64-node circle round the lowest eigenvalue, of radius
+    RADIUS_GAP_FACTOR times the gap to the next one."""
+    spec = numcore.eigvals_oracle(matrix)
+    gap = abs(spec[1] - spec[0]) if len(spec) > 1 else 1.0
+    return Circle(center=complex(spec[0]), radius=eigenstate.RADIUS_GAP_FACTOR * gap, nodes=64)
+
+
 def _track_inputs(cfg):
-    demo = cfg.get("path", {}).get("demo") if isinstance(cfg.get("path"), dict) else None
-    path_block = cfg.get("path") or {}
+    path_block = cfg["path"] if isinstance(cfg.get("path"), dict) else {}
     sblock = path_block.get("s", {"start": 0.0, "stop": 1.0, "num": 11})
+    num = _bounded(sblock, "num", None, int, 1)
     try:
-        svals = np.linspace(float(sblock["start"]), float(sblock["stop"]), int(sblock["num"]))
+        svals = np.linspace(float(sblock["start"]), float(sblock["stop"]), num)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad path.s block: {exc}") from exc
-    if demo == "diag" or "grid" not in cfg:
+    if path_block.get("demo") == "diag" or "grid" not in cfg:
         base = np.diag([0.0, 1.0]).astype(complex)
         step = np.diag([0.1, 0.0]).astype(complex)
         fam = lambda s: base + s * step
@@ -221,10 +246,7 @@ def _track_inputs(cfg):
     base = parse_fields(cfg.get("fields"), grid)
     direction = parse_fields(path_block.get("direction"), grid)
     fam = lambda s: schrodinger.family(grid, space, base + float(s) * direction)
-    spec = numcore.eig_oracle(fam(svals[0])).eigenvalues
-    gap = abs(spec[1] - spec[0]) if len(spec) > 1 else 1.0
-    default_contour = Circle(center=complex(spec[0]), radius=0.4 * gap, nodes=64)
-    return fam, svals, default_contour
+    return fam, svals, _lattice_circle(fam(svals[0]))
 
 
 def run_track(cfg, outdir: Path, tol: dict, seed: int) -> dict:
@@ -247,10 +269,7 @@ def run_density(cfg, outdir: Path, tol: dict, seed: int) -> dict:
     grid, space = parse_grid(cfg)
     fields = parse_fields(cfg.get("fields"), grid)
     matrix = schrodinger.family(grid, space, fields)
-    spec = numcore.eig_oracle(matrix).eigenvalues
-    gap = abs(spec[1] - spec[0]) if len(spec) > 1 else 1.0
-    default = Circle(center=complex(spec[0]), radius=0.4 * gap, nodes=64)
-    contour = parse_contour(cfg, default=default)
+    contour = parse_contour(cfg, default=_lattice_circle(matrix))
     rho, current = eigenstate.eigenstate_density(grid, space, fields, contour)
     rows = []
     flat_rho = rho.reshape(-1)
@@ -287,8 +306,8 @@ def run_thermal(cfg, outdir: Path, tol: dict, seed: int) -> dict:
 def run_holocheck(cfg, outdir: Path, tol: dict, seed: int) -> dict:
     matrix = _input_matrix(cfg)
     n = matrix.shape[0]
-    slices = int(cfg.get("path", {}).get("slices", 5)) if isinstance(cfg.get("path"), dict) else 5
-    radius = float(cfg.get("path", {}).get("radius", 1e-2)) if isinstance(cfg.get("path"), dict) else 1e-2
+    slices = _bounded(cfg.get("path"), "slices", 5, int, 1)
+    radius = _bounded(cfg.get("path"), "radius", 1e-2, float, 0.0, strict=True)
     spec = numcore.eig_oracle(matrix).eigenvalues
     zeta0 = complex(spec.real.min() - 1.0 - abs(spec.imag).max() * 1j - 1.0j)
     rng = np.random.default_rng(seed)
@@ -327,7 +346,7 @@ def run_neumann(cfg, outdir: Path, tol: dict, seed: int) -> dict:
         t = 0.4 * h
     else:
         t = parse_matrix({"matrix": t_block})
-    n_terms = int(cfg.get("path", {}).get("n_terms", 40)) if isinstance(cfg.get("path"), dict) else 40
+    n_terms = _bounded(cfg.get("path"), "n_terms", 40, int, 0)
     rg = rigging.make_h_plus(h)
     result = resolvent.neumann_resolvent(h, t, rg, n_terms)
     direct = numcore.solve(h + t, np.eye(h.shape[0], dtype=complex))

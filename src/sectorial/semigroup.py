@@ -12,7 +12,9 @@ engine; :func:`free_energy_path`, which needs only Z = Tr e^{-beta T},
 reduces T to Hessenberg form once per path and takes each Z from resolvent
 traces on the same hyperbola.  Each checks its precondition Num T inside
 the sector once, exactly, through :meth:`Sector.require_range` (three top
-eigenvalues).
+eigenvalues).  The Duhamel term is the upper-right block of
+e^{-beta [[H, T], [0, H]]} (Van Loan, IEEE Trans. Automat. Control 23, 1978):
+one :func:`emap` at size 2n, with the sector checked on H.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ from .errors import (
     ZeroPartitionFunctionError,
 )
 from .forms import Sector, hermitian_split, numerical_range, fit_sector
-from .numcore import as_matrix, pairwise_sum, solve
+from .numcore import as_matrix, solve
 
 VERTEX_SETBACK = 0.5
 TAIL_CUTOFF = 1e-14
 NODE_BUDGET = 20000 * 16  # most nodes per hyperbolic rule: binds below a room of ~7.8e-4
 RANGE_NODES = 128
-DEFAULT_S_NODES = 20
 
 
 def _admissible(beta: complex, sector: Sector) -> float:
@@ -180,14 +181,20 @@ def free_energy_path(betas, t, sector: Sector, z_floor_factor: float = 1e-12):
     return zs, fs
 
 
-def duhamel_first_order(beta: complex, h, t_dir, s_nodes: int = DEFAULT_S_NODES,
+def duhamel_first_order(beta: complex, h, t_dir, s_nodes: int | None = None,
                         sector: Sector | None = None, margin: float = 0.05) -> np.ndarray:
     """First-order response integral_0^1 e^{-s beta H} (-beta T) e^{-(1-s) beta H} ds.
 
-    Equals the directional derivative of eps -> e^{-beta (H + eps T)} at 0.
-    Gauss-Legendre in s; the node set is symmetric so each semigroup factor
-    is computed once.  The sector defaults to a fit of Num H; a supplied one
-    is checked once to contain Num H (SectorViolationError otherwise).
+    Equals the directional derivative of eps -> e^{-beta (H + eps T)} at 0,
+    the upper-right block of e^{-beta [[H, T], [0, H]]} (Van Loan, IEEE Trans.
+    Automat. Control 23, 1978), taken by one :func:`emap` call at size 2n.
+    T is divided by 2^k, k the binary exponent of max |T_ij| kept in the
+    normal range, and the block multiplied back by 2^k, both exactly; the result is linear in T, so
+    D(beta, H, 2T) is 2 D(beta, H, T) bit for bit.  The block has the
+    spectrum of H but not its numerical range, so the sector is fitted to or
+    checked against Num H only: it defaults to a fit of Num H, and a supplied
+    one is checked once to contain Num H (SectorViolationError otherwise).
+    ``s_nodes`` is accepted and ignored.
     """
     h = as_matrix(h)
     t_dir = as_matrix(t_dir)
@@ -197,13 +204,12 @@ def duhamel_first_order(beta: complex, h, t_dir, s_nodes: int = DEFAULT_S_NODES,
         sector = fit_sector(numerical_range(h, RANGE_NODES), margin=margin)
     else:
         sector.require_range(h)
-    x, w = np.polynomial.legendre.leggauss(s_nodes)
-    s = (x + 1.0) / 2.0
-    w = w / 2.0
-    exps = [emap(si * beta, h, sector, check_range=False) for si in s]
-    terms = [wi * (ei @ (-beta * t_dir) @ ej)
-             for wi, ei, ej in zip(w, exps, exps[::-1])]
-    return pairwise_sum(terms)
+    n = h.shape[0]
+    # 2^k near max |T_ij|, kept normal: complex division by a subnormal overflows
+    k = min(max(math.frexp(float(np.abs(t_dir).max()))[1], -1021), 1023)
+    scale = math.ldexp(1.0, k)
+    block = np.block([[h, t_dir / scale], [np.zeros_like(h), h]])
+    return scale * emap(beta, block, sector, check_range=False)[:n, n:]
 
 
 def of_norm(t, h0, tol: float = 1e-10) -> float:

@@ -198,6 +198,32 @@ def test_thermal_bad_beta_is_config_error(tmp_path, capsys, beta):
     assert err["error"] == "ConfigError"
 
 
+DIAG = {"matrix": {"demo": "two_level"}}
+CIRCLE = {"type": "circle", "center": [0.0, 0.0], "radius": 0.5}
+POLYLINE = {"type": "polyline", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}
+
+
+@pytest.mark.parametrize("sub, block", [
+    ("riesz", dict(DIAG, contour=dict(CIRCLE, nodes=0))),
+    ("riesz", dict(DIAG, contour=dict(CIRCLE, nodes=-4))),
+    ("riesz", dict(DIAG, contour=dict(CIRCLE, nodes=1))),
+    ("riesz", dict(DIAG, contour=dict(CIRCLE, radius=0.0))),
+    ("riesz", dict(DIAG, contour=dict(POLYLINE, panels=0))),
+    ("riesz", dict(DIAG, contour=dict(POLYLINE, order=0))),
+    ("holocheck", dict(DIAG, path={"slices": 0})),
+    ("holocheck", dict(DIAG, path={"radius": 0.0})),
+    ("neumann", dict(DIAG, path={"n_terms": -1})),
+    ("track", {"path": {"s": {"start": 0.0, "stop": 1.0, "num": 0}}}),
+    ("numrange", dict(DIAG, contour={"nodes": 4})),
+])
+def test_degenerate_counts_are_config_errors(tmp_path, capsys, sub, block):
+    cfg = write_cfg(tmp_path, "c.json", dict(block, subcommand=sub, seed=0,
+                                             output_dir=str(tmp_path / "out")))
+    assert run(str(cfg)) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+
+
 def test_thermal_sweeps_range_once(tmp_path, monkeypatch):
     calls = []
     sweep = forms.numerical_range

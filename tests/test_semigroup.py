@@ -274,15 +274,34 @@ def test_duhamel_commuting_closed_form(rng):
     assert np.linalg.norm(out - expect, 2) <= 1e-10 * np.linalg.norm(expect, 2)
 
 
-def test_duhamel_matches_finite_difference(rng):
+def test_duhamel_matches_finite_difference(rng, monkeypatch):
+    calls = []
+    emap = semigroup.emap
+    monkeypatch.setattr(semigroup, "emap", lambda *a, **k: calls.append(1) or emap(*a, **k))
     h = rand_hermitian(rng, 8, lo=0.3, hi=2.0)
-    t = rand_hermitian(rng, 8, lo=-1.0, hi=1.0)
-    beta = 1.0
-    out = semigroup.duhamel_first_order(beta, h, t, s_nodes=20)
-    eps = 1e-5
-    fd = (numcore.expm_oracle(-beta * (h + eps * t))
-          - numcore.expm_oracle(-beta * (h - eps * t))) / (2 * eps)
-    assert np.linalg.norm(out - fd, 2) <= 1e-5 * np.linalg.norm(fd, 2)
+    cases = [(1.0, h, rand_hermitian(rng, 8, lo=-1.0, hi=1.0), fitted(h))]
+    # non-normal H, non-hermitian T, complex beta at +-room/2
+    for n, sign in ((6, 1), (11, -1), (16, 1)):
+        h = rand_sectorial(rng, n)
+        sec = fitted(h)
+        beta = cmath.rect(1.2, sign * 0.5 * (math.pi / 2 - sec.half_angle))
+        cases.append((beta, h, rand_complex(rng, n), sec))
+    for beta, h, t, sec in cases:
+        n = h.shape[0]
+        calls.clear()
+        out = semigroup.duhamel_first_order(beta, h, t, s_nodes=20, sector=sec)
+        assert len(calls) == 1
+        eps = 1e-5
+        fd = (numcore.expm_oracle(-beta * (h + eps * t))
+              - numcore.expm_oracle(-beta * (h - eps * t))) / (2 * eps)
+        assert np.linalg.norm(out - fd, 2) <= 1e-5 * np.linalg.norm(fd, 2)
+        block = numcore.expm_oracle(-beta * np.block([[h, t], [np.zeros_like(h), h]]))[:n, n:]
+        assert np.linalg.norm(out - block, 2) <= 1e-11 * np.linalg.norm(block, 2)
+        # the rescale of T is by a power of two, so D is linear in T bit for bit
+        assert np.array_equal(semigroup.duhamel_first_order(beta, h, 2 * t, sector=sec), 2 * out)
+        # a subnormal T keeps its last bits and does not overflow in the rescale
+        tiny = semigroup.duhamel_first_order(beta, h, 1e-310 * t, sector=sec)
+        assert np.abs(tiny - 1e-310 * out).max() <= 1e-10 * np.abs(1e-310 * out).max()
 
 
 def test_duhamel_checks_supplied_sector(rng):
