@@ -33,6 +33,8 @@ DEMO_MATRICES = {
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
@@ -256,10 +258,8 @@ def run_track(cfg, outdir: Path, tol: dict, seed: int) -> dict:
         raise ConfigError("track requires a circle contour")
     points = eigenstate.track_eigenvalue(fam, list(svals), c0, s_values=svals,
                                          gap_floor=tol.get("gap_floor", 1e-6))
-    rows = [[p.index, p.s, p.energy.real, p.energy.imag, p.gap, p.repinned]
-            for p in points]
-    write_csv(outdir / "track.csv",
-              ["parameter_index", "s", "re_E", "im_E", "gap", "repinned"], rows)
+    rows = eigenstate.track_to_rows(points)
+    write_csv(outdir / "track.csv", list(rows[0]), [list(r.values()) for r in rows])
     drift = abs(points[-1].energy - points[0].energy)
     return {"steps": len(points), "end_start_drift": float(drift),
             "min_gap": float(min(p.gap for p in points))}
@@ -280,9 +280,7 @@ def run_density(cfg, outdir: Path, tol: dict, seed: int) -> dict:
         for s in range(grid.sites):
             rows.append(["J", direction, s, flat_j[direction, s].real,
                          flat_j[direction, s].imag])
-    lines = [",".join(["kind", "direction", "site", "re", "im"])]
-    lines += [",".join([r[0], str(r[1]), str(r[2]), _fmt(r[3]), _fmt(r[4])]) for r in rows]
-    (outdir / "density.csv").write_text("\n".join(lines) + "\n")
+    write_csv(outdir / "density.csv", ["kind", "direction", "site", "re", "im"], rows)
     total = float((flat_rho.real * grid.delta**grid.d).sum())
     return {"total_charge": total, "particles": space.particles,
             "charge_defect": abs(total - space.particles)}
@@ -308,7 +306,7 @@ def run_holocheck(cfg, outdir: Path, tol: dict, seed: int) -> dict:
     n = matrix.shape[0]
     slices = _bounded(cfg.get("path"), "slices", 5, int, 1)
     radius = _bounded(cfg.get("path"), "radius", 1e-2, float, 0.0, strict=True)
-    spec = numcore.eig_oracle(matrix).eigenvalues
+    spec = numcore.eigvals_oracle(matrix)
     zeta0 = complex(spec.real.min() - 1.0 - abs(spec.imag).max() * 1j - 1.0j)
     rng = np.random.default_rng(seed)
     report = {"slices": []}

@@ -37,10 +37,11 @@ from .errors import (
     EmptyEnclosureError,
     GammaHitsSpectrumError,
     NotAProjectionError,
+    SingularMatrixError,
     SpectrumHitError,
 )
 from .forms import Sector
-from .numcore import PairwiseAccumulator, as_matrix, eigvals_oracle, pairwise_sum, solve
+from .numcore import PairwiseAccumulator, as_matrix, eigvals_oracle, pairwise_sum
 
 DEFAULT_CIRCLE_NODES = 128
 DEFAULT_GAUSS_ORDER = 16
@@ -228,16 +229,21 @@ def _resolvent_nodes(a: np.ndarray, rule: QuadratureRule) -> list[np.ndarray]:
 
     Nodes are independent and each is computed the same way whatever the
     other nodes of the rule are, so the caller's fixed pairwise fold does not
-    depend on how nodes are grouped.  A node whose pivot is exactly zero or
-    not finite goes to the pivot-checked :func:`numcore.solve` on
-    A - zeta_j I instead, which raises SingularMatrixError naming the pivot.
+    depend on how nodes are grouped.  A node with a pivot that is exactly
+    zero or not finite raises SingularMatrixError naming the node's index in
+    ``rule``, zeta_j and the pivot.
     """
     z = rule.nodes
     with np.errstate(all="ignore"):
         ut, mult, swap = _hessenberg_lu(a, z)
         pivots = np.diagonal(ut, axis1=1, axis2=2)
-        bad = ~np.all(np.isfinite(pivots) & (pivots != 0), axis=1)
-        for j in np.flatnonzero(~bad):
+        bad = ~(np.isfinite(pivots) & (pivots != 0))
+        if bad.any():
+            j, k = np.argwhere(bad)[0]
+            raise SingularMatrixError(
+                f"node {j} (zeta = {complex(z[j]):.6g}) has Hessenberg LU pivot {k} = "
+                f"{complex(pivots[j, k]):.3e}: the node is on the spectrum")
+        for j in range(z.size):
             lapack.ztrtri(ut[j].T, overwrite_c=1)  # in place: ut[j] = U_j^-T
         # rows of ut[j] are columns of the resolvent: R = U^-1 M_{n-2} ... M_0
         for k in range(a.shape[0] - 2, -1, -1):
@@ -245,12 +251,7 @@ def _resolvent_nodes(a: np.ndarray, rule: QuadratureRule) -> list[np.ndarray]:
             sw = np.flatnonzero(swap[:, k])
             if sw.size:
                 ut[sw[:, None], [k, k + 1]] = ut[sw[:, None], [k + 1, k]]
-    res = ut.transpose(0, 2, 1)
-    if bad.any():
-        eye = np.eye(a.shape[0], dtype=complex)
-        for j in np.flatnonzero(bad):
-            res[j] = solve(a - z[j] * eye, eye)
-    return list(res)
+    return list(ut.transpose(0, 2, 1))
 
 
 def _chunk_nodes(n: int) -> int:

@@ -35,16 +35,6 @@ class RankOnePair:
         return np.outer(self.phi, self.eta.conj())
 
 
-def _pin_phase(phi: np.ndarray, eta: np.ndarray, pin: int | None):
-    if pin is None or abs(phi[pin]) < PIN_FLOOR:
-        pin = int(np.argmax(np.abs(phi)))
-        repinned = True
-    else:
-        repinned = False
-    phase = phi[pin] / abs(phi[pin])
-    return phi / phase, eta / phase, pin, repinned
-
-
 def rank_one_decompose(p, pin: int | None = None) -> RankOnePair:
     """Split a rank-one projection into its |phi><eta| pair.
 
@@ -61,8 +51,10 @@ def rank_one_decompose(p, pin: int | None = None) -> RankOnePair:
     eta = eta_h.conj()
     overlap = complex(eta.conj() @ phi)
     eta = eta / np.conj(overlap)
-    phi, eta, pin, _ = _pin_phase(phi, eta, pin)
-    return RankOnePair(phi=phi, eta=eta, pin=pin)
+    if pin is None or abs(phi[pin]) < PIN_FLOOR:
+        pin = int(np.argmax(np.abs(phi)))
+    phase = phi[pin] / abs(phi[pin])
+    return RankOnePair(phi=phi / phase, eta=eta / phase, pin=pin)
 
 
 @dataclass(frozen=True)

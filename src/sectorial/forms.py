@@ -162,46 +162,22 @@ def numerical_range(t, m: int = DEFAULT_NODES) -> NumericalRangeBoundary:
     return NumericalRangeBoundary(angles=angles, points=points, support=support)
 
 
-def _max_aperture(points: np.ndarray, c: float) -> float:
-    """Largest angle subtended at real vertex c by any boundary point."""
-    dx = points.real - c
-    dy = np.abs(points.imag)
-    return float(np.arctan2(dy, dx).max()) if len(points) else 0.0
-
-
 def fit_sector(boundary: NumericalRangeBoundary, margin: float = 0.05) -> Sector:
     """Fit a real-vertex sector around a sampled numerical-range boundary.
 
-    Golden-section search for the vertex over [min Re - spread, min Re]
-    minimizing the maximal aperture, then the half-angle is dilated by
-    ``margin`` to produce an ample sector.  Flat stretches of the objective
-    resolve toward the rightmost (tightest) vertex.
+    The vertex is min Re - spread, with spread the real-axis extent of the
+    boundary, and the half-angle is the largest angle arctan(|Im p| /
+    (Re p - vertex)) any boundary point p subtends there, dilated by
+    ``margin``.  No vertex in [min Re - spread, min Re] does better: as the
+    vertex moves left every point's angle shrinks, so the aperture is
+    smallest at the left end.  Raises NotSectorialError when the aperture
+    leaves no room for the margin below pi/2.
     """
     pts = boundary.points
     if len(pts) == 0:
         raise ValueError("empty boundary")
-    lo_re = float(pts.real.min())
-    spread = float(np.ptp(pts.real))
-    a, b = lo_re - spread, lo_re
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = _max_aperture(pts, x1), _max_aperture(pts, x2)
-    for _ in range(80):
-        if f1 > f2 + 1e-15:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = _max_aperture(pts, x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = _max_aperture(pts, x1)
-    candidates = [(f1, x1), (f2, x2), (_max_aperture(pts, b), b)]
-    best = min(candidates, key=lambda q: (q[0], -q[1]))
-    angle, vertex = best
-    for f, x in candidates:  # prefer the rightmost vertex among ties
-        if f <= angle + 1e-12 and x > vertex:
-            angle, vertex = f, x
+    vertex = float(pts.real.min() - np.ptp(pts.real))
+    angle = float(np.arctan2(np.abs(pts.imag), pts.real - vertex).max())
     if angle >= math.pi / 2 - margin:
         raise NotSectorialError(
             f"required half-angle {angle:.6f} leaves no room for margin {margin:.3f}"

@@ -411,8 +411,9 @@ def test_engine_matches_dense_solve_reference(rng):
 def test_engine_node_on_eigenvalue_raises_singular():
     a = np.diag([0.0, 1.0, 3.0]).astype(complex)
     rule = QuadratureRule(np.array([2.0, 1.0 + 0j]), np.ones(2, dtype=complex), closed=False)
-    with pytest.raises(SingularMatrixError, match="pivot"):
+    with pytest.raises(SingularMatrixError, match="pivot") as err:
         contour.resolvent_sums(a, rule, [lambda z: 1.0])
+    assert "node 1 (zeta = 1+0j)" in str(err.value)
 
 
 def test_engine_reduces_once_per_call(rng, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from sectorial import forms, numcore
 from sectorial.errors import NotSectorialError, SectorViolationError
 
-from conftest import rand_complex, rand_hermitian
+from conftest import rand_complex, rand_hermitian, rand_sectorial
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -98,10 +98,33 @@ def test_range_contains_spectrum(rng):
 
 
 def test_fit_sector_positive_diagonal():
-    b = forms.numerical_range(np.diag([1.0, 2.0]), 64)
+    # a real segment [a, b] gets vertex a - (b - a): [0, 1] gets -1, not the
+    # vertex 0 that has the same aperture 0
+    for diag, vertex in (([1.0, 2.0], 0.0), ([0.0, 1.0], -1.0)):
+        sec = forms.fit_sector(forms.numerical_range(np.diag(diag), 64), margin=0.05)
+        assert sec.vertex == vertex
+        assert sec.half_angle == pytest.approx(0.05, abs=1e-9)
+
+
+def _aperture(points, c):
+    return float(np.arctan2(np.abs(points.imag), points.real - c).max())
+
+
+SECTORIAL_CASES = [(s, n) for s in range(40) for n in (4, 8)]
+
+
+@pytest.mark.parametrize("seed, n", SECTORIAL_CASES)
+def test_fit_sector_is_the_left_end(seed, n):
+    # every point's angle shrinks as the vertex moves left, so the fit is the
+    # left end of [min Re - spread, min Re], exactly
+    b = forms.numerical_range(rand_sectorial(np.random.default_rng(seed), n), 128)
+    pts = b.points
     sec = forms.fit_sector(b, margin=0.05)
-    assert sec.vertex <= 1.0 + 1e-9
-    assert sec.half_angle == pytest.approx(0.05, abs=1e-9)
+    assert sec.vertex == pts.real.min() - np.ptp(pts.real)
+    aperture = _aperture(pts, sec.vertex)
+    assert sec.half_angle == aperture + 0.05
+    for c in np.linspace(sec.vertex, pts.real.min(), 9)[1:]:
+        assert _aperture(pts, c) > aperture
 
 
 def test_fit_sector_rotated_segment():
@@ -119,13 +142,11 @@ def test_fit_sector_imaginary_axis_fails():
         forms.fit_sector(forms.numerical_range(t, 64), margin=0.05)
 
 
-def test_fit_sector_contains_boundary(rng):
-    from conftest import rand_sectorial
-    for _ in range(10):
-        t = rand_sectorial(rng, 8)
-        b = forms.numerical_range(t, 128)
+def test_fit_sector_contains_boundary():
+    for seed, n in SECTORIAL_CASES:
+        b = forms.numerical_range(rand_sectorial(np.random.default_rng(seed), n), 128)
         sec = forms.fit_sector(b, margin=0.05)
-        assert sec.contains(b.points, slack=1e-9)
+        assert sec.contains(b.points, slack=1e-9), (seed, n)
 
 
 def test_sector_geometry():
