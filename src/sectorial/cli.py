@@ -290,7 +290,7 @@ def run_thermal(cfg, outdir: Path, tol: dict, seed: int) -> dict:
     matrix = _input_matrix(cfg)
     betas = _beta_list(cfg)
     sector = parse_sector(cfg["sector"]) if "sector" in cfg else \
-        forms.fit_sector(forms.numerical_range(matrix, 128), margin=0.05)
+        forms.fit_sector(forms.numerical_range(matrix, semigroup.RANGE_NODES), margin=0.05)
     zs, fs = semigroup.free_energy_path(betas, matrix, sector,
                                         z_floor_factor=tol.get("z_floor_factor", 1e-12))
     rows = [[b.real, b.imag, z.real, z.imag, f.real, f.imag]

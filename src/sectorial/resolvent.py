@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import SingularMatrixError, SpectrumHitError, ZetaInsideRangeError
-from .forms import numerical_range
+from .forms import DEFAULT_NODES, numerical_range
 from .numcore import as_matrix, solve
 from .rigging import Rigging
 
@@ -80,7 +80,7 @@ def neumann_resolvent(h, t, rg: Rigging, n_terms: int) -> NeumannResult:
                          error_bound=bound, c_geom=c_geom, partials=partials)
 
 
-def resolvent_bound_check(t, zeta: complex, m: int = 256,
+def resolvent_bound_check(t, zeta: complex, m: int = DEFAULT_NODES,
                           boundary=None) -> tuple[float, float]:
     """(|R(zeta,T)|, 1/dist(zeta, hull Num T)); the first never exceeds the second.
 

@@ -39,7 +39,7 @@ from .numcore import as_matrix, solve
 VERTEX_SETBACK = 0.5
 TAIL_CUTOFF = 1e-14
 NODE_BUDGET = 20000 * 16  # most nodes per hyperbolic rule: binds below a room of ~7.8e-4
-RANGE_NODES = 128
+RANGE_NODES = 128  # sweep angles whenever a sector is fitted to Num T
 
 
 def _admissible(beta: complex, sector: Sector) -> float:

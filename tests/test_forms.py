@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from sectorial import forms, numcore
-from sectorial.errors import NotSectorialError, SectorViolationError
+from sectorial.errors import NoConvergenceError, NotSectorialError, SectorViolationError
 
 from conftest import rand_complex, rand_hermitian, rand_sectorial
 
@@ -68,6 +69,56 @@ def test_range_hermitian_is_real_segment():
 def test_range_requires_enough_nodes():
     with pytest.raises(ValueError):
         forms.numerical_range(np.eye(2), 4)
+
+
+def _full_eigh_sweep(t, m):
+    """Reference sweep: full eigh of (e^{-i phi} T + e^{i phi} T*)/2 at each angle."""
+    points, support = np.empty(m, dtype=complex), np.empty(m)
+    for k in range(m):
+        rot = np.exp(-2j * math.pi * k / m) * t
+        w, v = sla.eigh((rot + rot.conj().T) / 2.0)
+        points[k], support[k] = v[:, -1].conj() @ t @ v[:, -1], w[-1]
+    return points, support
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64])
+def test_range_matches_full_eigh_sweep(n):
+    t = rand_complex(np.random.default_rng([11, n]), n)
+    b = forms.numerical_range(t, 48)
+    points, support = _full_eigh_sweep(t, 48)
+    assert np.abs(b.support - support).max() <= 1e-13 * max(1.0, np.linalg.norm(t, 2))
+    assert np.abs(b.points - points).max() <= 1e-12
+
+
+@pytest.mark.parametrize("t, value", [(np.eye(3), 1.0), (np.zeros((3, 3)), 0.0)])
+def test_range_degenerate_top_is_the_point(t, value):
+    # every direction's top eigenvalue has multiplicity 3; any top vector works
+    b = forms.numerical_range(t, 64)
+    assert np.abs(b.points - value).max() <= 1e-12
+    assert np.abs(b.support - value * np.cos(b.angles)).max() <= 1e-12
+    assert b.is_convex()
+
+
+def test_range_segment_points_stay_on_segment():
+    # diag(0, 1) at phi = +-pi/2: both eigenvalues of the hermitian part are
+    # zero up to cos(pi/2) rounding, so the top vector may be either basis vector
+    b = forms.numerical_range(np.diag([0.0, 1.0]), 64)
+    vertical = np.isclose(np.abs(np.sin(b.angles)), 1.0)
+    assert vertical.sum() == 2 and np.abs(b.support[vertical]).max() <= 1e-12
+    assert np.abs(b.points.imag).max() <= 1e-12
+    assert b.points.real.min() >= -1e-12 and b.points.real.max() <= 1.0 + 1e-12
+    assert b.is_convex()
+
+
+def test_eigh_failure_is_no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise sla.LinAlgError("eigenvalue iteration did not converge")
+
+    monkeypatch.setattr(forms.sla, "eigh", fail)
+    with pytest.raises(NoConvergenceError):
+        forms.numerical_range(np.eye(2), 8)
+    with pytest.raises(NoConvergenceError):
+        forms.Sector(vertex=0.0, half_angle=0.5).require_range(np.eye(2))
 
 
 def test_range_convexity_random(rng):
