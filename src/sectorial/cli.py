@@ -33,6 +33,8 @@ DEMO_MATRICES = {
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -211,11 +213,11 @@ def run_riesz(cfg, outdir: Path, tol: dict, seed: int) -> dict:
         p, a_low = low_energy_hamiltonian(matrix, contour)
     else:
         p, a_low, _ = spectral_pair(matrix, contour)
-    rows = [[i, j, p[i, j].real, p[i, j].imag]
-            for i in range(p.shape[0]) for j in range(p.shape[1])]
+    rows = [[i, j, re, im] for (i, j), re, im in
+            zip(np.ndindex(p.shape), p.real.ravel().tolist(), p.imag.ravel().tolist())]
     write_csv(outdir / "projector.csv", ["row", "col", "re_p", "im_p"], rows)
     defect = float(np.linalg.norm(p @ p - p, 2))
-    rank = rank_of_projection(p, idem_tol=tol.get("projection_idem_tol", 1e-6))
+    rank = rank_of_projection(p, idem_tol=tol.get("projection_idem_tol", 1e-6), defect=defect)
     summary = {"trace": float(np.trace(p).real), "rank": rank, "idempotency_defect": defect}
     if rank == 1:
         summary["eigenvalue"] = [float(np.trace(a_low).real), float(np.trace(a_low).imag)]

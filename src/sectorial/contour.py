@@ -448,15 +448,17 @@ def extract_eigenvalue(a, contour, trace_tol: float = 0.01,
     return enclosed_eigenvalue(p, ap, trace_tol)
 
 
-def rank_of_projection(p, idem_tol: float = 1e-6) -> int:
+def rank_of_projection(p, idem_tol: float = 1e-6, defect: float | None = None) -> int:
     """Rank of a (possibly oblique) projection: rounded real trace.
 
     Cross-validated against the count of singular values above 1/2; a
-    mismatch or an idempotency defect beyond ``idem_tol`` raises
-    NotAProjectionError.
+    mismatch or an idempotency defect |P^2 - P|_2 beyond ``idem_tol`` raises
+    NotAProjectionError.  A caller that already holds the defect passes it
+    as ``defect`` and it is not computed again.
     """
     p = as_matrix(p)
-    defect = np.linalg.norm(p @ p - p, 2)
+    if defect is None:
+        defect = np.linalg.norm(p @ p - p, 2)
     if defect > idem_tol:
         raise NotAProjectionError(f"|P^2 - P| = {defect:.3e} exceeds {idem_tol:.1e}")
     r = int(round(float(np.trace(p).real)))
@@ -477,6 +479,14 @@ def _segment_spectrum_distance(a: complex, b: complex, spectrum: np.ndarray) -> 
     return float(np.abs(spectrum - (a + t * d)).min())
 
 
+def _panel_gap(order: int) -> float:
+    """Largest gap between neighbouring nodes of composite order-``order``
+    Gauss-Legendre panels, as a fraction of one panel's length; the gap
+    across a panel join counts, so order 1 (one node per panel) has gap 1."""
+    x, _ = _legendre(order)
+    return 0.5 * max(np.diff(x).max(initial=0.0), (1.0 - x[-1]) + (1.0 + x[0]))
+
+
 def low_energy_hamiltonian(a, boundary: RightBoundary,
                            order: int = DEFAULT_GAUSS_ORDER,
                            line_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -485,8 +495,8 @@ def low_energy_hamiltonian(a, boundary: RightBoundary,
     The line is closed into a triangle with the edges of a dilation of the
     supplied sector; the dilation only moves the path away from the spectrum
     and never changes which eigenvalues are enclosed (anything left of the
-    line and inside the sector).  Panels per edge follow the distance from
-    that edge to the spectrum.
+    line and inside the sector).  Panels per edge are sized from the
+    clearance check, so it passes at any Gauss order.
     """
     a = as_matrix(a)
     spec = eigvals_oracle(a)
@@ -510,10 +520,12 @@ def low_energy_hamiltonian(a, boundary: RightBoundary,
         dmin = max(min(_segment_spectrum_distance(p0, p1, spec) for p0, p1 in edges), 1e-6)
     else:
         dmin = 1.0
-    # the clearance heuristic is global, so every edge resolves the global
-    # minimum distance: panel length <= dmin/2 keeps 10 x spacing below dmin
-    counts = [int(np.clip(math.ceil(2.0 * abs(p1 - p0) / dmin), 4, 512))
-              for p0, p1 in edges]
+    # the clearance check is global: the nearest node, at least dmin from the
+    # spectrum, against CLEARANCE_FACTOR x the largest node gap anywhere.  So
+    # every edge takes panels of length <= dmin / (CLEARANCE_FACTOR x g), g the
+    # panel's largest gap fraction; gaps across joins and vertices are covered
+    per_length = CLEARANCE_FACTOR * _panel_gap(order) / dmin
+    counts = [int(np.clip(math.ceil(per_length * abs(p1 - p0)), 4, 512)) for p0, p1 in edges]
     tri = Polyline(vertices=tuple(verts), order=order, panels=tuple(counts))
     (p, ap), _ = _integrate_rdt(a, tri, [lambda z: 1.0, lambda z: z], spectrum=spec)
     return p, ap

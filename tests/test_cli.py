@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sectorial import contour, forms, numcore, semigroup
-from sectorial.cli import main, run
+from sectorial.cli import main, run, write_csv
 
 
 def write_cfg(tmp_path: Path, name: str, cfg: dict) -> Path:
@@ -81,6 +81,40 @@ def test_riesz_right_boundary(tmp_path):
     assert run(str(cfg)) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["summary"]["rank"] == 2
+
+
+def test_riesz_idempotency_defect_computed_once(tmp_path, monkeypatch):
+    norms = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm",
+                        lambda x, ord=None, **kw: norms.append(ord) or norm(x, ord, **kw))
+    mat = numcore.matrix_to_json(np.diag([1.0, 2.0, 10.0]).astype(complex))
+    cfg = write_cfg(tmp_path, "c.json", {
+        "subcommand": "riesz", "seed": 0, "output_dir": str(tmp_path / "out"),
+        "matrix": mat,
+        "contour": {"type": "circle", "center": [1.0, 0.0], "radius": 0.5, "nodes": 64},
+    })
+    assert run(str(cfg)) == 0
+    assert norms.count(2) == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["summary"]["rank"] == 1
+    assert summary["summary"]["idempotency_defect"] < 1e-12
+
+
+def test_write_csv_numpy_scalars_match_python_values(tmp_path):
+    floats = [0.1, -0.0, 0.0, float("nan"), float("inf"), -float("inf"),
+              1.2345678901234567, 2.0 ** -1074, 1e308, -3.0000000000000004]
+    py_rows = [[k, k % 2 == 0, x, "rho"] for k, x in enumerate(floats)]
+    np_rows = [[np.int64(k), np.bool_(b), np.float64(x), s] for k, b, x, s in py_rows]
+    write_csv(tmp_path / "py.csv", ["k", "even", "x", "kind"], py_rows)
+    write_csv(tmp_path / "np.csv", ["k", "even", "x", "kind"], np_rows)
+    text = (tmp_path / "py.csv").read_text()
+    assert (tmp_path / "np.csv").read_text() == text
+    lines = text.splitlines()
+    assert lines[2] == "1,0,-0.0,rho"
+    assert lines[4:6] == ["3,0,nan,rho", "4,1,inf,rho"]
+    assert lines[7] == "6,1,1.2345678901234567,rho"
+    assert [float(line.split(",")[2]) for line in lines[1:]][6:] == floats[6:]
 
 
 def test_track_demo_table(tmp_path):

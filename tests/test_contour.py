@@ -269,6 +269,40 @@ def test_low_energy_sectorial_vs_oracle(rng):
     assert rank_of_projection(p) == k + 1
 
 
+@pytest.mark.parametrize("order", [4, 6])
+def test_low_energy_low_order_clears(order):
+    # panels of length dmin/2 fail the clearance check here at orders <= 6
+    a = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+    rb = RightBoundary(abscissa=0.5, sector=Sector(vertex=-0.5, half_angle=0.2))
+    p, a_low = low_energy_hamiltonian(a, rb, order=order)
+    assert abs(np.trace(p) - 1.0) <= 1e-12
+    assert abs(np.trace(a_low)) <= 1e-12
+
+
+def test_panel_gap_closed_forms():
+    assert contour._panel_gap(1) == 1.0
+    assert contour._panel_gap(2) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
+    assert contour._panel_gap(16) == pytest.approx(0.0950, abs=5e-5)
+
+
+@pytest.mark.parametrize("order", range(1, 33))
+def test_right_boundary_triangle_spacing_clears(order, monkeypatch):
+    built = []
+    integrate = contour._integrate_rdt
+    monkeypatch.setattr(contour, "_integrate_rdt", lambda a, tri, *args, **kw:
+                        built.append(tri) or integrate(a, tri, *args, **kw))
+    cases = [(np.array([0.0, 1.0, 2.0, 3.0]),
+              RightBoundary(abscissa=0.5, sector=Sector(vertex=-0.5, half_angle=0.2))),
+             (np.array([0.3 + 0.2j, 1.1 - 0.1j, 2.0 + 0.3j, 4.0]),
+              RightBoundary(abscissa=1.5, sector=Sector(vertex=-0.5, half_angle=0.3)))]
+    for spec, rb in cases:
+        low_energy_hamiltonian(np.diag(spec), rb, order=order)
+        verts = list(built[-1].vertices)
+        dmin = min(contour._segment_spectrum_distance(p0, p1, spec)
+                   for p0, p1 in zip(verts, verts[1:] + verts[:1]))
+        assert built[-1].rule().max_spacing() * contour.CLEARANCE_FACTOR <= dmin
+
+
 def test_enclosed_count(rng):
     a = np.diag([0.0, 1.0, 1.0, 4.0]).astype(complex)
     assert enclosed_count(a, Circle(1.0, 0.5, 64)) == 2
