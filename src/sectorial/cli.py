@@ -35,6 +35,8 @@ DEMO_MATRICES = {
 def _fmt(value) -> str:
     if type(value) is float:
         return repr(value)
+    if type(value) is int:
+        return str(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -318,9 +320,8 @@ def run_holocheck(cfg, outdir: Path, tol: dict, seed: int) -> dict:
         w /= np.linalg.norm(w, 2)
         probe = holocheck.weak_probe(n, seed=seed + k)
         f = lambda t: resolvent.rmap(zeta0, t)
-        res = holocheck.cauchy_residual(f, matrix, w, r=radius, m=64, probe=probe)
-        coeffs = holocheck.taylor_coefficients(f, matrix, w, r=radius, m=64, k_max=8,
-                                               probe=probe)
+        res, coeffs = holocheck.residual_and_coefficients(f, matrix, w, r=radius, m=64,
+                                                          k_max=8, probe=probe)
         try:
             rad = holocheck.radius_estimate(coeffs)
         except SectorialError:

@@ -1,13 +1,13 @@
 """Contour representations, quadrature, and the contour operator calculus:
 spectral projections, projected operators, scalar functions of a matrix,
-isolated-eigenvalue extraction, and low-energy truncation across a vertical
-splitting line.
+isolated-eigenvalue extraction, rank-one eigenvector pairs, and low-energy
+truncation across a vertical splitting line.
 
 Circles use the trapezoid rule (exponentially convergent for analytic
 integrands); straight segments use composite Gauss-Legendre panels.  The
 hyperbolic rules for e^{-beta T} are built in :mod:`semigroup`.  Every
-contour quantity goes through one engine, :func:`resolvent_sums`, which
-reduces A = Q H Q* to Hessenberg form once per call, forms each node's
+full-matrix contour quantity goes through one engine, :func:`resolvent_sums`,
+which reduces A = Q H Q* to Hessenberg form once per call, forms each node's
 resolvent of H from an O(n^2) shifted Hessenberg LU and one triangular
 inverse (~n^3/6 multiply-adds against ~4n^3/3 for a dense LU and solve;
 Wilkinson, *The Algebraic Eigenvalue Problem*, 1965, ch. 7), folds the
@@ -15,10 +15,14 @@ weighted terms in a fixed pairwise order and conjugates each sum by Q once
 at the end.  Nodes are solved in chunks of at most CHUNK_NODES nodes and
 CHUNK_BYTES of resolvents, so results do not depend on evaluation
 scheduling and memory grows with neither the node count nor, past
-n = 1024, the chunk.  Sums that need only the trace of the resolvent use
-its trace-only counterpart, :func:`hessenberg_trace_sum`, which never forms
-a resolvent: O(n^2) per node by Hyman's method, summed in the same fixed
-order.
+n = 1024, the chunk.  Quantities that need less than a full matrix never
+form a resolvent.  Traces of the resolvent come from
+:func:`hessenberg_trace_sum`: O(n^2) per node by Hyman's method, summed in
+the same fixed order; :func:`extract_eigenvalue` takes Tr P and Tr AP from
+it.  The rank-one pair phi, eta of an isolated eigenvalue comes from
+:func:`enclosed_pair`, which applies the contour to two probe vectors: one
+forward and one back substitution per node on the same shifted Hessenberg
+LU, O(n^2) per node.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from .errors import (
     EmptyEnclosureError,
     GammaHitsSpectrumError,
     NotAProjectionError,
+    ProbeOrthogonalError,
+    RankNotOneError,
     SingularMatrixError,
     SpectrumHitError,
 )
@@ -49,6 +55,9 @@ CLEARANCE_FACTOR = 10.0
 CHUNK_NODES = 32  # most nodes per Hessenberg LU batch in resolvent_sums
 CHUNK_BYTES = 2 ** 29  # most bytes of resolvents per batch: 32 nodes at n = 1024
 TRACE_CHUNK_NODES = 256  # nodes per vectorized recurrence in hessenberg_trace_sum
+PROBE_SEED = 20031  # seed of the fixed probe vectors of enclosed_pair
+PROBE_FLOOR = 1e-6  # least overlap cosine of a probe with its eigenvector
+RESIDUAL_TOL = 1e-7  # eigenpair residuals of enclosed_pair, relative to |A|
 _HYMAN_BIG = 2.0 ** 256
 
 
@@ -184,18 +193,23 @@ class RightBoundary:
 
 # -- operator calculus --------------------------------------------------------
 
-def _hessenberg_lu(h: np.ndarray, z: np.ndarray):
+def _hessenberg_lu(h: np.ndarray, z: np.ndarray, u: np.ndarray | None = None):
     """LU of H - z_j I for every shift z_j of an upper-Hessenberg H, in O(n^2)
     per shift, vectorized over the shifts.
 
     Partial pivoting only ever compares rows k and k+1; the swap is taken
     when |h_{k+1,k}| > |u_kk| in LAPACK's |Re| + |Im| measure, so the pivots
-    are the ones GEPP picks.  Returns ``ut`` with ``ut[j] = U_j^T`` (U_j's rows
-    stored as columns, so ``ut[j].T`` is U_j in Fortran order) and the
-    multipliers and swap flags of each step, shape (shifts, n - 1).
+    are the ones GEPP picks; only the shifts that swap at a step exchange
+    rows, the rest share one elimination.  Returns ``u`` with ``u[j] = U_j``
+    (row-major, so each step stores one contiguous row per shift) and the
+    multipliers and swap flags of each step, shape (shifts, n - 1).  ``u``
+    may be passed in as a zeroed (shifts, n, n) buffer to reuse: only its
+    upper triangles are written.  A shift with a pivot that is exactly zero or not finite raises
+    SingularMatrixError naming the shift's index, z_j and the pivot.
     """
     n, c = h.shape[0], z.size
-    ut = np.zeros((c, n, n), dtype=complex)
+    if u is None:
+        u = np.zeros((c, n, n), dtype=complex)
     mult = np.empty((c, n - 1), dtype=complex)
     swap = np.empty((c, n - 1), dtype=bool)
     sub = np.diagonal(h, -1)
@@ -203,55 +217,80 @@ def _hessenberg_lu(h: np.ndarray, z: np.ndarray):
     carry = np.empty((c, n), dtype=complex)  # row k of the partly eliminated matrix
     carry[:] = h[0]
     carry[:, 0] -= z
-    for k in range(n - 1):
-        cur = carry[:, k:]
-        nxt = np.empty_like(cur)
-        nxt[:] = h[k + 1, k:]
-        nxt[:, 1] -= z
-        s = sub_size[k] > np.abs(cur[:, 0].real) + np.abs(cur[:, 0].imag)
-        piv = np.where(s[:, None], nxt, cur)
-        other = np.where(s[:, None], cur, nxt)
-        ut[:, k:, k] = piv
-        mult[:, k] = other[:, 0] / piv[:, 0]
-        swap[:, k] = s
-        carry[:, k + 1:] = other[:, 1:] - mult[:, k, None] * piv[:, 1:]
-    ut[:, n - 1, n - 1] = carry[:, n - 1]
-    return ut, mult, swap
+    other = np.empty((c, n), dtype=complex)  # the row eliminated against it
+    prod = np.empty((c, n - 1), dtype=complex)
+    with np.errstate(all="ignore"):
+        for k in range(n - 1):
+            cur, nxt = carry[:, k:], other[:, k:]
+            s = sub_size[k] > np.abs(cur[:, 0].real) + np.abs(cur[:, 0].imag)
+            swap[:, k] = s
+            row, m = u[:, k, k:], mult[:, k]
+            row[...] = cur
+            nxt[:] = h[k + 1, k:]
+            nxt[:, 1] -= z
+            if s.any():  # few shifts swap: exchange just their two rows
+                sw = np.flatnonzero(s)
+                row[sw], nxt[sw] = nxt[sw], cur[sw]
+            np.divide(nxt[:, 0], row[:, 0], out=m)
+            p = np.multiply(m[:, None], row[:, 1:], out=prod[:, k:])
+            np.subtract(nxt[:, 1:], p, out=carry[:, k + 1:])
+    u[:, n - 1, n - 1] = carry[:, n - 1]
+    pivots = np.diagonal(u, axis1=1, axis2=2)
+    bad = ~(np.isfinite(pivots) & (pivots != 0))
+    if bad.any():
+        j, k = np.argwhere(bad)[0]
+        raise SingularMatrixError(
+            f"node {j} (zeta = {complex(z[j]):.6g}) has Hessenberg LU pivot {k} = "
+            f"{complex(pivots[j, k]):.3e}: the node is on the spectrum")
+    return u, mult, swap
 
 
 def _resolvent_nodes(a: np.ndarray, rule: QuadratureRule) -> list[np.ndarray]:
     """R(zeta_j, A) at every node for an upper-Hessenberg A, in three steps:
     the O(n^2) shifted Hessenberg LU A - zeta_j I = M_j^-1 U_j of every node
     at once, one triangular inverse U_j^-1 per node (LAPACK ``ztrtri``,
-    ~n^3/6 multiply-adds, in place on the Fortran-ordered U_j), then
+    ~n^3/6 multiply-adds, on a Fortran-ordered copy of U_j), then
     R = U^-1 M applied as O(n^2) column operations: each Gauss transform and
     row swap of the LU, last step first.
 
     Nodes are independent and each is computed the same way whatever the
     other nodes of the rule are, so the caller's fixed pairwise fold does not
-    depend on how nodes are grouped.  A node with a pivot that is exactly
-    zero or not finite raises SingularMatrixError naming the node's index in
-    ``rule``, zeta_j and the pivot.
+    depend on how nodes are grouped.  A node on the spectrum raises
+    SingularMatrixError (see :func:`_hessenberg_lu`).
     """
     z = rule.nodes
+    u, mult, swap = _hessenberg_lu(a, z)
     with np.errstate(all="ignore"):
-        ut, mult, swap = _hessenberg_lu(a, z)
-        pivots = np.diagonal(ut, axis1=1, axis2=2)
-        bad = ~(np.isfinite(pivots) & (pivots != 0))
-        if bad.any():
-            j, k = np.argwhere(bad)[0]
-            raise SingularMatrixError(
-                f"node {j} (zeta = {complex(z[j]):.6g}) has Hessenberg LU pivot {k} = "
-                f"{complex(pivots[j, k]):.3e}: the node is on the spectrum")
         for j in range(z.size):
-            lapack.ztrtri(ut[j].T, overwrite_c=1)  # in place: ut[j] = U_j^-T
-        # rows of ut[j] are columns of the resolvent: R = U^-1 M_{n-2} ... M_0
-        for k in range(a.shape[0] - 2, -1, -1):
-            ut[:, k] -= mult[:, k, None] * ut[:, k + 1]
+            inv, _ = lapack.ztrtri(u[j])  # U_j^-1, Fortran order
+            u[j] = inv.T                  # rows of u[j] are columns of U_j^-1
+        # rows of u[j] are columns of the resolvent: R^T = M^T U^-T
+        _apply_mt(u, mult, swap)
+    return list(u.transpose(0, 2, 1))
+
+
+def _apply_m(x, mult, swap) -> None:
+    """x_j <- M_j x_j in place for each node j (axis 0), M_j the row swaps and
+    Gauss transforms of the node's Hessenberg LU, first step first."""
+    m = mult.reshape(mult.shape + (1,) * (x.ndim - 2))
+    swapped = swap.any(axis=0)
+    for k in range(mult.shape[1]):
+        if swapped[k]:
             sw = np.flatnonzero(swap[:, k])
-            if sw.size:
-                ut[sw[:, None], [k, k + 1]] = ut[sw[:, None], [k + 1, k]]
-    return list(ut.transpose(0, 2, 1))
+            x[sw[:, None], [k, k + 1]] = x[sw[:, None], [k + 1, k]]
+        x[:, k + 1] -= m[:, k] * x[:, k]
+
+
+def _apply_mt(x, mult, swap) -> None:
+    """x_j <- M_j^T x_j in place for each node j (axis 0): the transposed
+    steps of :func:`_apply_m`, last step first."""
+    m = mult.reshape(mult.shape + (1,) * (x.ndim - 2))
+    swapped = swap.any(axis=0)
+    for k in range(mult.shape[1] - 1, -1, -1):
+        x[:, k] -= m[:, k] * x[:, k + 1]
+        if swapped[k]:
+            sw = np.flatnonzero(swap[:, k])
+            x[sw[:, None], [k, k + 1]] = x[sw[:, None], [k + 1, k]]
 
 
 def _chunk_nodes(n: int) -> int:
@@ -335,24 +374,26 @@ def _hyman_traces(b: np.ndarray, z: np.ndarray):
     return tr, c, dc
 
 
-def hessenberg_trace_sum(h, rule: QuadratureRule, f) -> complex:
+def hessenberg_trace_sum(h, rule: QuadratureRule, funcs) -> list[complex]:
     """sum_j w_j f(zeta_j) Tr R(zeta_j, H) over the nodes of ``rule`` for an
-    upper-Hessenberg H; the trace-only counterpart of :func:`resolvent_sums`.
+    upper-Hessenberg H, for each f; the trace-only counterpart of
+    :func:`resolvent_sums`.
 
-    No resolvent is formed: each trace costs O(n^2) through Hyman's method,
-    vectorized over TRACE_CHUNK_NODES nodes at a time, so memory is
-    O(TRACE_CHUNK_NODES * n) whatever the node count.  H is split into
-    diagonal blocks at subdiagonals <= eps * |H|_F and the block traces are
-    added, which makes diagonal and block-triangular inputs exact.  The m
-    terms are reduced with :func:`pairwise_sum` in node order, so the sum is
-    reproducible.  A node where det(H - zeta I) vanishes or the trace is not
-    finite raises SpectrumHitError naming the node.
+    No resolvent is formed: each node's trace is computed once, in O(n^2)
+    through Hyman's method, vectorized over TRACE_CHUNK_NODES nodes at a
+    time, so memory is O(TRACE_CHUNK_NODES * n) whatever the node count.  H
+    is split into diagonal blocks at subdiagonals <= eps * |H|_F and the
+    block traces are added, which makes diagonal and block-triangular inputs
+    exact.  Each f's m terms are reduced with :func:`pairwise_sum` in node
+    order, so the sums are reproducible.  A node where det(H - zeta I)
+    vanishes or the trace is not finite raises SpectrumHitError naming the
+    node.
     """
     h = as_matrix(h)
     if np.any(np.tril(h, -2)):
         raise ValueError("expected an upper-Hessenberg matrix")
     blocks = _hessenberg_blocks(h)
-    terms = []
+    terms = [[] for _ in funcs]
     for lo in range(0, len(rule.nodes), TRACE_CHUNK_NODES):
         z = rule.nodes[lo:lo + TRACE_CHUNK_NODES]
         tr = np.zeros(z.size, dtype=complex)
@@ -366,9 +407,10 @@ def hessenberg_trace_sum(h, rule: QuadratureRule, f) -> complex:
                     f"{complex(c[j]):.3e}, c' = {complex(dc[j]):.3e} on Hessenberg "
                     f"block rows {a}:{b}: the node is numerically on the spectrum")
             tr += block_tr
-        terms += [w * f(zj) * t
-                  for zj, w, t in zip(z, rule.weights[lo:lo + TRACE_CHUNK_NODES], tr)]
-    return complex(pairwise_sum(terms))
+        weights = rule.weights[lo:lo + TRACE_CHUNK_NODES]
+        for f, acc in zip(funcs, terms):
+            acc += [w * f(zj) * t for zj, w, t in zip(z, weights, tr)]
+    return [complex(pairwise_sum(acc)) for acc in terms]
 
 
 def _check_clearance(rule: QuadratureRule, spectrum: np.ndarray,
@@ -382,6 +424,17 @@ def _check_clearance(rule: QuadratureRule, spectrum: np.ndarray,
         )
 
 
+def _cleared(a, contour, clearance_factor: float = CLEARANCE_FACTOR, spectrum=None):
+    """(A, rule, spectrum): A as a matrix and the contour's quadrature rule,
+    checked against the oracle spectrum (``spectrum`` when the caller already
+    holds it) by :func:`_check_clearance`."""
+    a = as_matrix(a)
+    rule = contour.rule()
+    spec = eigvals_oracle(a) if spectrum is None else spectrum
+    _check_clearance(rule, spec, clearance_factor)
+    return a, rule, spec
+
+
 def _integrate_rdt(a, contour, funcs, clearance_factor: float = CLEARANCE_FACTOR,
                    spectrum=None):
     """-(1/2 pi i) * contour integral of f(zeta) R(zeta, A) for each f.
@@ -390,10 +443,7 @@ def _integrate_rdt(a, contour, funcs, clearance_factor: float = CLEARANCE_FACTOR
     the oracle spectrum the contour was cleared against (``spectrum`` when
     the caller already holds it).
     """
-    a = as_matrix(a)
-    rule = contour.rule()
-    spec = eigvals_oracle(a) if spectrum is None else spectrum
-    _check_clearance(rule, spec, clearance_factor)
+    a, rule, spec = _cleared(a, contour, clearance_factor, spectrum)
     return [-s / (2j * math.pi) for s in resolvent_sums(a, rule, funcs)], spec
 
 
@@ -426,26 +476,126 @@ def spectral_pair(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
     return p, ap, spec
 
 
-def enclosed_eigenvalue(p, ap, trace_tol: float = 0.01) -> complex:
-    """Tr AP for a rank-one enclosure (P, AP) from :func:`spectral_pair`.
+def enclosed_eigenvalue(tr_p, tr_ap, trace_tol: float = 0.01) -> complex:
+    """Tr AP for a rank-one enclosure, from the traces of P and AP.
 
     Tr P counts enclosed algebraic multiplicity: ~0 raises
     EmptyEnclosureError, ~k > 1 DegenerateEnclosureError.
     """
-    tr = complex(np.trace(p))
+    tr = complex(tr_p)
     if abs(tr) <= trace_tol:
         raise EmptyEnclosureError(f"Tr P = {tr:.3e}: contour encloses nothing")
     if abs(tr - 1.0) > trace_tol:
         raise DegenerateEnclosureError(f"Tr P = {tr:.4f}: enclosure is not rank one")
-    return complex(np.trace(ap))
+    return complex(tr_ap)
+
+
+def _enclosed_traces(h, rule: QuadratureRule) -> list[complex]:
+    """(Tr P, Tr AP) over the contour from the trace engine on Hessenberg H."""
+    sums = hessenberg_trace_sum(h, rule, [lambda z: 1.0, lambda z: z])
+    return [-s / (2j * math.pi) for s in sums]
 
 
 def extract_eigenvalue(a, contour, trace_tol: float = 0.01,
                        clearance_factor: float = CLEARANCE_FACTOR) -> complex:
     """Isolated nondegenerate eigenvalue enclosed by the contour (see
-    :func:`enclosed_eigenvalue`)."""
-    p, ap, _ = spectral_pair(a, contour, clearance_factor)
-    return enclosed_eigenvalue(p, ap, trace_tol)
+    :func:`enclosed_eigenvalue`), from Tr P and Tr AP alone: one Hessenberg
+    reduction and :func:`hessenberg_trace_sum`, no resolvent formed."""
+    a, rule, _ = _cleared(a, contour, clearance_factor)
+    h = sla.hessenberg(a, check_finite=False)
+    return enclosed_eigenvalue(*_enclosed_traces(h, rule), trace_tol)
+
+
+def _default_probes(n: int) -> np.ndarray:
+    """Fixed complex Gaussian probes (v, u) of dimension n, from PROBE_SEED."""
+    g = np.random.default_rng(PROBE_SEED).standard_normal((2, 2, n))
+    return g[:, 0] + 1j * g[:, 1]
+
+
+def _probe_sums(h: np.ndarray, rule: QuadratureRule, b: np.ndarray, c: np.ndarray):
+    """(sum_j w_j R(zeta_j, H) b, sum_j w_j R(zeta_j, H)^T c) for an
+    upper-Hessenberg H, without forming any resolvent.
+
+    Per node: the shifted Hessenberg LU H - zeta_j I = M_j^-1 U_j of
+    :func:`_hessenberg_lu`, then R b = U^-1 (M b) (the LU's swaps and Gauss
+    transforms, first step first, and one back substitution) and
+    R^T c = M^T (U^-T c) (one forward substitution, then the transposed
+    steps, last first): O(n^2) per node.  Nodes are solved
+    :func:`_chunk_nodes` at a time and the m terms of each sum reduced by
+    :func:`pairwise_sum` in node order.
+    """
+    n = h.shape[0]
+    right, left = [], []
+    step = _chunk_nodes(n)
+    buf = np.zeros((min(step, len(rule.nodes)), n, n), dtype=complex)  # reused U storage
+    for lo in range(0, len(rule.nodes), step):
+        z = rule.nodes[lo:lo + step]
+        w = rule.weights[lo:lo + step, None]
+        u, mult, swap = _hessenberg_lu(h, z, buf[:z.size])
+        x = np.tile(b, (z.size, 1))
+        y = np.empty_like(x)
+        with np.errstate(all="ignore"):
+            _apply_m(x, mult, swap)
+            for j in range(z.size):
+                x[j] = lapack.ztrtrs(u[j].T, x[j], lower=1, trans=1)[0]  # U x = M b
+                y[j] = lapack.ztrtrs(u[j].T, c, lower=1)[0]              # U^T y = c
+            _apply_mt(y, mult, swap)
+        right += list(w * x)
+        left += list(w * y)
+    return pairwise_sum(right), pairwise_sum(left)
+
+
+def enclosed_pair(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
+    """(phi, eta, E, spectrum) of the isolated simple eigenvalue E the contour
+    encloses: its Riesz projection is P = phi eta* with |phi| = 1 and
+    eta* phi = 1, E = Tr AP, and ``spectrum`` is the oracle spectrum that
+    cleared the contour.  P itself is never formed.
+
+    The contour is applied to two fixed probe vectors instead of the identity
+    (Sakurai & Sugiura, J. Comput. Appl. Math. 159, 2003; Polizzi, Phys. Rev.
+    B 79, 115112, 2009): phi is P v and eta is P* u, normalized, from two
+    O(n^2) triangular solves per node on one shifted Hessenberg LU
+    (:func:`_probe_sums`); Tr P and Tr AP come from the trace engine on the
+    same reduction A = Q H Q*.  The probes are the fixed pair of
+    :func:`_default_probes`.
+
+    Checks, each raising a typed error: the clearance oracle; Tr P through
+    :func:`enclosed_eigenvalue`; each probe's overlap cosine with its vector
+    (|eta* v| / |eta||v| and |phi* u| / |u|) at least PROBE_FLOOR
+    (ProbeOrthogonalError); and the residuals |A phi - E phi| and
+    |A* eta - conj(E) eta| / |eta| at most RESIDUAL_TOL times |A|
+    (RankNotOneError).  |A| there is the largest column norm, a lower bound
+    on |A|_2, so the residual checks are at least as strict as against the
+    2-norm.
+    """
+    a, rule, spec = _cleared(a, contour, clearance_factor)
+    h, q = sla.hessenberg(a, calc_q=True, check_finite=False)
+    energy = enclosed_eigenvalue(*_enclosed_traces(h, rule))
+    v, u = (np.asarray(p, dtype=complex) / np.linalg.norm(p)
+            for p in _default_probes(a.shape[0]))
+    qh = q.conj().T
+    right, left = _probe_sums(h, rule, qh @ v, (qh @ u).conj())
+    pv = q @ right / (-2j * math.pi)               # P v = phi (eta* v)
+    pu = q @ left.conj() / (2j * math.pi)          # P* u = eta (phi* u)
+    with np.errstate(all="ignore"):  # a probe orthogonal to its vector gives 0 / 0
+        phi = pv / np.linalg.norm(pv)
+        overlap_u = complex(phi.conj() @ pu)       # phi* P* u = phi* u
+        eta = pu / overlap_u
+        eta_norm = float(np.linalg.norm(eta))
+        cos_v = float(np.linalg.norm(pv)) / eta_norm
+    cos_u = abs(overlap_u)
+    if not (cos_v >= PROBE_FLOOR and cos_u >= PROBE_FLOOR):  # NaN fails too
+        raise ProbeOrthogonalError(
+            f"probe overlaps |eta* v|/|eta| = {cos_v:.3e}, |phi* u| = {cos_u:.3e}: "
+            f"need >= {PROBE_FLOOR:.0e} for both")
+    scale = RESIDUAL_TOL * float(np.linalg.norm(a, axis=0).max())
+    res_phi = float(np.linalg.norm(a @ phi - energy * phi))
+    res_eta = float(np.linalg.norm(a.conj().T @ eta - np.conj(energy) * eta)) / eta_norm
+    if not (res_phi <= scale and res_eta <= scale):
+        raise RankNotOneError(
+            f"residuals |A phi - E phi| = {res_phi:.3e}, |A* eta - conj(E) eta|/|eta| = "
+            f"{res_eta:.3e} exceed {RESIDUAL_TOL:.0e} x max column norm = {scale:.3e}")
+    return phi, eta, energy, spec
 
 
 def rank_of_projection(p, idem_tol: float = 1e-6, defect: float | None = None) -> int:

@@ -1,5 +1,12 @@
 """Rank-one spectral pairs, eigenvalue tracking along parameter paths, and
 derivative/density evaluation for isolated nondegenerate eigenvalues.
+
+Tracking, Hellmann-Feynman derivatives and densities need only the rank-one
+pair phi, eta and E = Tr AP of an enclosed eigenvalue, never the n x n
+projection: they take it from :func:`sectorial.contour.enclosed_pair`, two
+O(n^2) probe solves per node, whose residual checks stand in for the
+idempotency and singular-value rank tests :func:`rank_one_decompose` applies
+to a full projection.
 """
 
 from __future__ import annotations
@@ -8,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import Circle, enclosed_eigenvalue, rank_of_projection, riesz_projection, \
-    spectral_pair
+from .contour import Circle, enclosed_pair, rank_of_projection
 from .errors import IsolationLostError, RankNotOneError
 from .numcore import as_matrix
 from . import schrodinger
@@ -35,6 +41,15 @@ class RankOnePair:
         return np.outer(self.phi, self.eta.conj())
 
 
+def _pinned(phi, eta, pin: int | None) -> RankOnePair:
+    """The pair with the common phase making phi[pin] real positive; a pin
+    that is None or where |phi| < PIN_FLOOR moves to the largest component."""
+    if pin is None or abs(phi[pin]) < PIN_FLOOR:
+        pin = int(np.argmax(np.abs(phi)))
+    phase = phi[pin] / abs(phi[pin])
+    return RankOnePair(phi=phi / phase, eta=eta / phase, pin=pin)
+
+
 def rank_one_decompose(p, pin: int | None = None) -> RankOnePair:
     """Split a rank-one projection into its |phi><eta| pair.
 
@@ -50,11 +65,7 @@ def rank_one_decompose(p, pin: int | None = None) -> RankOnePair:
     eta_h = phi.conj() @ p          # phi* P = (phi* phi) eta* = eta*
     eta = eta_h.conj()
     overlap = complex(eta.conj() @ phi)
-    eta = eta / np.conj(overlap)
-    if pin is None or abs(phi[pin]) < PIN_FLOOR:
-        pin = int(np.argmax(np.abs(phi)))
-    phase = phi[pin] / abs(phi[pin])
-    return RankOnePair(phi=phi / phase, eta=eta / phase, pin=pin)
+    return _pinned(phi, eta / np.conj(overlap), pin)
 
 
 @dataclass(frozen=True)
@@ -99,13 +110,12 @@ def track_eigenvalue(family_f, path, c0: Circle, s_values=None,
     circle = c0
     pin = None
     for k, (s, p) in enumerate(zip(s_values, path)):
-        # one resolvent pass gives P and AP; its oracle spectrum gives the gap
-        proj, ap, spec = spectral_pair(as_matrix(family_f(p)), circle)
-        energy = enclosed_eigenvalue(proj, ap)
+        # one probe pass gives the pair and E; its oracle spectrum gives the gap
+        phi, eta, energy, spec = enclosed_pair(family_f(p), circle)
         gap = _gap_at(spec, energy)
         if gap < gap_floor:
             raise IsolationLostError(f"gap {gap:.3e} < floor {gap_floor:.1e} at step {k}")
-        pair = rank_one_decompose(proj, pin=pin)
+        pair = _pinned(phi, eta, pin)
         repinned = k > 0 and pair.pin != pin
         pin = pair.pin
         out.append(TrackPoint(index=k, s=s, energy=energy, gap=gap,
@@ -131,41 +141,34 @@ def track_to_rows(points: list[TrackPoint]) -> list[dict]:
 
 
 def hellmann_feynman(family_f, x, w, contour: Circle, dfamily=None,
-                     adjoint_tol: float = 1e-7, fd_step: float = 1e-2) -> complex:
+                     fd_step: float = 1e-2) -> complex:
     """Directional eigenvalue derivative <eta| (D h . w) |phi> at parameter x.
 
-    P and AP come from one resolvent pass; the energy is Tr AP.
+    The pair comes from one probe pass (:func:`enclosed_pair`), which checks
+    phi and eta as right and left eigenvectors to ``contour.RESIDUAL_TOL`` * |H|.
 
     ``dfamily(x, w)`` supplies the directional derivative of the form matrix;
     when omitted it is taken as the central difference of family_f over
     x +/- fd_step * w, which is exact (to rounding) for families of
-    polynomial degree <= 2 in the parameter.  The left vector is validated
-    as an adjoint eigenvector: |H* eta - conj(E) eta| <= adjoint_tol * |H|.
+    polynomial degree <= 2 in the parameter.
     """
-    matrix = as_matrix(family_f(x))
-    proj, ap, _ = spectral_pair(matrix, contour)
-    pair = rank_one_decompose(proj)
-    energy = complex(np.trace(ap))
-    resid = matrix.conj().T @ pair.eta - np.conj(energy) * pair.eta
-    scale = np.linalg.norm(matrix, 2)
-    if np.linalg.norm(resid) > adjoint_tol * max(1.0, scale):
-        raise RankNotOneError("left vector fails the adjoint eigenvector identity")
+    phi, eta, _, _ = enclosed_pair(family_f(x), contour)
     if dfamily is not None:
         dh = as_matrix(dfamily(x, w))
     else:
         plus = as_matrix(family_f(x + fd_step * w))
         minus = as_matrix(family_f(x - fd_step * w))
         dh = (plus - minus) / (2.0 * fd_step)
-    return complex(pair.eta.conj() @ dh @ pair.phi)
+    return complex(eta.conj() @ dh @ phi)
 
 
 def eigenstate_density(grid, space, cfg, contour: Circle):
     """(rho, J) of the isolated eigenstate of a lattice family enclosed by the contour.
 
-    Decomposes the Riesz projection into its rank-one pair and evaluates the
-    lattice charge/current formulas at the configuration's vector potential.
+    Takes the rank-one pair from one probe pass (:func:`enclosed_pair`) and
+    evaluates the lattice charge/current formulas at the configuration's
+    vector potential.
     """
     matrix = schrodinger.family(grid, space, cfg)
-    proj = riesz_projection(matrix, contour)
-    pair = rank_one_decompose(proj)
-    return schrodinger.charge_current_from_pair(space, grid, pair.phi, pair.eta, cfg.a)
+    phi, eta, _, _ = enclosed_pair(matrix, contour)
+    return schrodinger.charge_current_from_pair(space, grid, phi, eta, cfg.a)

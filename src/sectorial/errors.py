@@ -84,6 +84,10 @@ class NotAProjectionError(NumericalFailure):
     """Matrix fails the idempotency tolerance."""
 
 
+class ProbeOrthogonalError(NumericalFailure):
+    """Probe vector (numerically) orthogonal to the enclosed eigenvector."""
+
+
 # -- semigroup / thermal -----------------------------------------------------
 
 class NotSectorialForBetaError(NumericalFailure):

@@ -78,11 +78,7 @@ def cauchy_residual(f, x, w, r: float = DEFAULT_SLICE_RADIUS, m: int = 64,
     anti-holomorphic component of size |g| produces a residual of order
     2 pi r |g|.
     """
-    _, zeta, vals = _sample_circle(f, x, w, r, m, probe)
-    # d zeta = i zeta d theta; trapezoid on the periodic grid
-    integral = np.sum(vals * 1j * zeta) * (2.0 * math.pi / m)
-    scale = float(np.abs(vals).max())
-    return SliceResidual(raw=float(abs(integral)), scale=scale)
+    return residual_and_coefficients(f, x, w, r, m, k_max=0, probe=probe)[0]
 
 
 def taylor_coefficients(f, x, w, r: float = DEFAULT_SLICE_RADIUS, m: int = 64,
@@ -92,12 +88,22 @@ def taylor_coefficients(f, x, w, r: float = DEFAULT_SLICE_RADIUS, m: int = 64,
     c_k = (1/m) sum_j g(r e^{i theta_j}) e^{-i k theta_j} r^{-k}; needs
     m >= 4 k_max so aliasing of the retained orders is negligible.
     """
+    return residual_and_coefficients(f, x, w, r, m, k_max, probe)[1]
+
+
+def residual_and_coefficients(f, x, w, r: float = DEFAULT_SLICE_RADIUS, m: int = 64,
+                              k_max: int = 8, probe=scalar_probe):
+    """(:func:`cauchy_residual`, :func:`taylor_coefficients`) of one slice
+    from one sampling of its circle."""
     if m < 4 * k_max:
         raise ValueError(f"need m >= 4 k_max = {4 * k_max}, got {m}")
-    theta, _, vals = _sample_circle(f, x, w, r, m, probe)
+    theta, zeta, vals = _sample_circle(f, x, w, r, m, probe)
+    # d zeta = i zeta d theta; trapezoid on the periodic grid
+    integral = np.sum(vals * 1j * zeta) * (2.0 * math.pi / m)
+    residual = SliceResidual(raw=float(abs(integral)), scale=float(np.abs(vals).max()))
     ks = np.arange(k_max + 1)
     phases = np.exp(-1j * np.outer(ks, theta))
-    return (phases @ vals) / m / (r**ks)
+    return residual, (phases @ vals) / m / (r**ks)
 
 
 def radius_estimate(coeffs) -> float:

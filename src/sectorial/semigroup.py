@@ -170,7 +170,7 @@ def free_energy_path(betas, t, sector: Sector, z_floor_factor: float = 1e-12):
     rules = [_wedge_rule(b, sector) for b in betas]
     sector.require_range(t)
     h = sla.hessenberg(t)
-    zs = np.array([hessenberg_trace_sum(h, rule, lambda z: cmath.exp(-b * z)) / (2j * math.pi)
+    zs = np.array([hessenberg_trace_sum(h, rule, [lambda z: cmath.exp(-b * z)])[0] / (2j * math.pi)
                    for b, rule in zip(betas, rules)])
     floor = z_floor_factor * t.shape[0]
     if np.abs(zs).min() <= floor:
@@ -181,8 +181,8 @@ def free_energy_path(betas, t, sector: Sector, z_floor_factor: float = 1e-12):
     return zs, fs
 
 
-def duhamel_first_order(beta: complex, h, t_dir, s_nodes: int | None = None,
-                        sector: Sector | None = None, margin: float = 0.05) -> np.ndarray:
+def duhamel_first_order(beta: complex, h, t_dir, sector: Sector | None = None,
+                        margin: float = 0.05) -> np.ndarray:
     """First-order response integral_0^1 e^{-s beta H} (-beta T) e^{-(1-s) beta H} ds.
 
     Equals the directional derivative of eps -> e^{-beta (H + eps T)} at 0,
@@ -194,7 +194,6 @@ def duhamel_first_order(beta: complex, h, t_dir, s_nodes: int | None = None,
     spectrum of H but not its numerical range, so the sector is fitted to or
     checked against Num H only: it defaults to a fit of Num H, and a supplied
     one is checked once to contain Num H (SectorViolationError otherwise).
-    ``s_nodes`` is accepted and ignored.
     """
     h = as_matrix(h)
     t_dir = as_matrix(t_dir)

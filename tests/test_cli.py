@@ -117,6 +117,15 @@ def test_write_csv_numpy_scalars_match_python_values(tmp_path):
     assert [float(line.split(",")[2]) for line in lines[1:]][6:] == floats[6:]
 
 
+def test_fmt_integers_and_booleans_keep_their_text():
+    from sectorial.cli import _fmt
+    cases = [(0, "0"), (7, "7"), (-12, "-12"), (2 ** 70, "1180591620717411303424"),
+             (np.int64(-5), "-5"), (np.int32(9), "9"), (np.uint8(255), "255"),
+             (True, "1"), (False, "0"), (np.bool_(True), "1"), (np.bool_(False), "0")]
+    for value, text in cases:
+        assert _fmt(value) == text, repr(value)
+
+
 def test_track_demo_table(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {
         "subcommand": "track", "seed": 0, "output_dir": str(tmp_path / "out"),
@@ -187,6 +196,29 @@ def test_holocheck_report(tmp_path):
     for s in report["slices"]:
         assert s["residual"] <= 1e-7
         assert len(s["coefficients"]) == 9
+
+
+def test_holocheck_samples_each_slice_once(tmp_path, monkeypatch):
+    from sectorial import holocheck, resolvent
+    calls = []
+    rmap = resolvent.rmap
+    monkeypatch.setattr(resolvent, "rmap", lambda *args: calls.append(1) or rmap(*args))
+    mat = numcore.matrix_to_json((np.diag([1.0, 2.0, 4.0]) + 0.1j * np.eye(3)))
+    cfg = write_cfg(tmp_path, "c.json", {
+        "subcommand": "holocheck", "seed": 3, "output_dir": str(tmp_path / "out"),
+        "matrix": mat, "path": {"slices": 4, "radius": 0.01},
+    })
+    assert run(str(cfg)) == 0
+    assert len(calls) == 4 * 64
+    # the shared sampling gives cauchy_residual's and taylor_coefficients' figures
+    w = np.diag([0.5, -1.0, 0.25]).astype(complex)
+    f = lambda t: rmap(-3.0, t)
+    probe = holocheck.weak_probe(3, seed=1)
+    a = numcore.matrix_from_json(mat)
+    res, coeffs = holocheck.residual_and_coefficients(f, a, w, r=0.01, m=64, probe=probe)
+    assert res == holocheck.cauchy_residual(f, a, w, r=0.01, m=64, probe=probe)
+    assert np.array_equal(coeffs, holocheck.taylor_coefficients(f, a, w, r=0.01, m=64,
+                                                                probe=probe))
 
 
 def test_neumann_table(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 import scipy.linalg as sla
 
-from sectorial import contour, eigenstate, numcore, semigroup
+from sectorial import contour, eigenstate, numcore, schrodinger, semigroup
 from sectorial.contour import (
     CHUNK_NODES,
     TRACE_CHUNK_NODES,
@@ -16,6 +16,7 @@ from sectorial.contour import (
     QuadratureRule,
     RightBoundary,
     enclosed_count,
+    enclosed_pair,
     extract_eigenvalue,
     hessenberg_trace_sum,
     low_energy_hamiltonian,
@@ -30,6 +31,8 @@ from sectorial.errors import (
     EmptyEnclosureError,
     GammaHitsSpectrumError,
     NotAProjectionError,
+    ProbeOrthogonalError,
+    RankNotOneError,
     SingularMatrixError,
     SpectrumHitError,
 )
@@ -366,7 +369,10 @@ def test_riesz_and_extract_are_bitwise_batch_reference(rng):
         c = Circle(complex(spec[0]), 0.4 * gap, m)
         p_ref, ap_ref = reference_sums(t, c.rule(), [lambda z: 1.0, lambda z: z])
         assert same_bits(riesz_projection(t, c), -p_ref / (2j * math.pi))
-        assert same_bits(extract_eigenvalue(t, c), complex(np.trace(-ap_ref / (2j * math.pi))))
+        # extraction takes Tr AP from the trace engine, not the resolvent
+        # sum, so it agrees with the resolvent path to rounding, not bit for bit
+        e_ref = complex(np.trace(-ap_ref / (2j * math.pi)))
+        assert abs(extract_eigenvalue(t, c) - e_ref) <= 1e-13 * abs(e_ref)
 
 
 def test_emap_is_bitwise_batch_reference(rng, monkeypatch):
@@ -397,12 +403,14 @@ def test_resolvent_batches_never_exceed_the_chunk(rng, monkeypatch):
 
 def test_track_step_is_one_pass_and_one_oracle(monkeypatch):
     fam = lambda s: np.diag([0.1 * s, 1.0, 2.0]).astype(complex)
-    solves = count_calls(monkeypatch, contour._resolvent_nodes)
+    factors = count_calls(monkeypatch, contour._hessenberg_lu)
+    resolvents = count_calls(monkeypatch, contour._resolvent_nodes)
     oracles = count_calls(monkeypatch, numcore.eigvals_oracle)
     steps = 3
     eigenstate.track_eigenvalue(fam, [0.0, 0.5, 1.0], Circle(0.0, 0.3, 128))
-    assert sum(len(rule.nodes) for _, rule in solves) == steps * 128
-    assert len(solves) == steps * 128 // CHUNK_NODES
+    assert sum(len(args[1]) for args in factors) == steps * 128
+    assert len(factors) == steps * 128 // CHUNK_NODES
+    assert not resolvents
     assert len(oracles) == steps
 
 
@@ -486,7 +494,7 @@ def dense_trace(t, z):
 def node_trace(h, z):
     """Tr R(z, H) from the trace engine on a one-node, unit-weight rule."""
     rule = QuadratureRule(np.array([complex(z)]), np.array([1.0 + 0j]), closed=False)
-    return hessenberg_trace_sum(h, rule, lambda _: 1.0)
+    return hessenberg_trace_sum(h, rule, [lambda _: 1.0])[0]
 
 
 def test_hyman_traces_match_dense_trace(rng):
@@ -535,14 +543,14 @@ def test_trace_sum_chunks_in_node_order(rng):
     f = lambda z: cmath.exp(-beta * z)
     terms = [w * f(z) * node_trace(h, z) for z, w in zip(rule.nodes, rule.weights)]
     ref = numcore.pairwise_sum(terms)
-    assert abs(hessenberg_trace_sum(h, rule, f) - ref) <= 1e-12 * abs(ref)
+    assert abs(hessenberg_trace_sum(h, rule, [f])[0] - ref) <= 1e-12 * abs(ref)
 
 
 def test_trace_engine_rejects_node_on_eigenvalue():
     h = np.diag([0.0, 1.0]).astype(complex)
     rule = QuadratureRule(np.array([2.0, 1.0 + 0j]), np.ones(2, dtype=complex), closed=False)
     with pytest.raises(SpectrumHitError, match="node 1"):
-        hessenberg_trace_sum(h, rule, lambda z: 1.0)
+        hessenberg_trace_sum(h, rule, [lambda z: 1.0])
 
 
 def test_chunk_nodes_bound_the_chunk_bytes():
@@ -551,3 +559,99 @@ def test_chunk_nodes_bound_the_chunk_bytes():
     assert contour._chunk_nodes(1024) == 32
     assert contour._chunk_nodes(2048) == 8
     assert contour._chunk_nodes(10 ** 5) == 1
+
+
+# -- rank-one pairs from probe solves -------------------------------------------
+
+def pair_reference(a, c):
+    """(rank_one_decompose(P), Tr AP) from the full projection P and AP."""
+    p, ap, _ = contour.spectral_pair(a, c)
+    return eigenstate.rank_one_decompose(p), complex(np.trace(ap))
+
+
+def assert_pair_matches(a, c, tol=1e-12):
+    phi, eta, energy, _ = enclosed_pair(a, c)
+    ref, e_ref = pair_reference(a, c)
+    phase = phi[ref.pin] / abs(phi[ref.pin])
+    assert abs(energy - e_ref) <= tol * abs(e_ref)
+    assert np.linalg.norm(phi / phase - ref.phi) <= tol
+    assert np.linalg.norm(eta / phase - ref.eta) <= tol * np.linalg.norm(ref.eta)
+    assert abs(eta.conj() @ phi - 1.0) <= tol
+
+
+def test_enclosed_pair_matches_decomposed_projection_sectorial(rng):
+    # subdiagonal 10 against entries ~0.1: the LU swaps rows (asserted below)
+    swapping = np.triu(0.1 * rand_complex(rng, 10))
+    swapping[np.arange(1, 10), np.arange(9)] = 10.0
+    for t in [rand_sectorial(rng, n) for n in (1, 2, 9, 40)] + [swapping]:
+        n = t.shape[0]
+        spec = numcore.eigvals_oracle(t)
+        for k in {0, n // 2, n - 1}:
+            others = np.delete(spec, k)
+            gap = np.abs(others - spec[k]).min() if others.size else 1.0
+            c = Circle(complex(spec[k]), 0.4 * gap, 128)
+            assert_pair_matches(t, c)
+    # c is the last circle, round an eigenvalue of ``swapping``
+    _, _, swap = contour._hessenberg_lu(sla.hessenberg(swapping), c.rule().nodes)
+    assert swap.any()
+
+
+def test_enclosed_pair_matches_decomposed_projection_lattice(rng):
+    grid = schrodinger.Grid(d=1, n=8, delta=0.5)
+    space = schrodinger.ManyBodySpace(grid=grid, particles=2)
+    x = np.arange(8)
+    base = schrodinger.FieldConfig.zero(grid, u0=1.5 + np.cos(2 * np.pi * x / 8),
+                                        v0=0.4 / (1.0 + (0.5 * np.minimum(x, 8 - x)) ** 2))
+    dirs = [schrodinger.delta_u(grid, j) for j in range(8)] \
+        + [schrodinger.delta_a(grid, 0, (j,)) for j in range(8)]
+    fam, _ = schrodinger.config_family(grid, space, base, dirs)
+    # a complex field ramp: the family is not hermitian, so eta != phi
+    mat = fam(0.05 * rng.standard_normal(len(dirs)) * (1.0 + 0.3j))
+    spec = numcore.eigvals_oracle(mat)
+    for k in (0, 1):
+        gap = np.abs(np.delete(spec, k) - spec[k]).min()
+        assert_pair_matches(mat, Circle(complex(spec[k]), 0.4 * gap, 64))
+    phi, eta, _, _ = enclosed_pair(mat, Circle(complex(spec[0]), 0.4 * abs(spec[1] - spec[0])))
+    assert np.linalg.norm(eta - phi) > 1e-6
+
+
+def test_enclosed_pair_typed_enclosure_errors():
+    with pytest.raises(EmptyEnclosureError):
+        enclosed_pair(np.diag([3.0, 7.0]), Circle(-5.0, 1.0, 64))
+    with pytest.raises(DegenerateEnclosureError):
+        enclosed_pair(np.diag([3.0, 3.5]), Circle(3.25, 2.0, 256))
+    with pytest.raises(ContourThroughSpectrumError):
+        enclosed_pair(np.diag([3.0, 3.5]), Circle(3.0, 0.45, 64))
+
+
+def use_probes(monkeypatch, v, u):
+    monkeypatch.setattr(contour, "_default_probes", lambda n: np.array([v, u]))
+
+
+def test_enclosed_pair_rejects_probes_orthogonal_to_the_pair(rng, monkeypatch):
+    n = 6
+    a = np.diag(np.arange(n, dtype=float)) + np.triu(0.3 * rand_complex(rng, n), 1)
+    c = Circle(0.0, 0.4, 128)
+    ref, _ = pair_reference(a, c)
+    good = rand_complex(rng, n, 1).ravel()
+    use_probes(monkeypatch, good, good)
+    assert enclosed_pair(a, c)[2] == pytest.approx(0.0, abs=1e-12)
+    for eps in (0.0, 1e-9):
+        # v nearly orthogonal to eta, then u nearly orthogonal to phi
+        v = good - (ref.eta.conj() @ good) / (ref.eta.conj() @ ref.eta) * ref.eta + eps * ref.eta
+        u = good - (ref.phi.conj() @ good) * ref.phi + eps * ref.phi
+        for probes in ((v, good), (good, u)):
+            use_probes(monkeypatch, *probes)
+            with pytest.raises(ProbeOrthogonalError):
+                enclosed_pair(a, c)
+
+
+def test_enclosed_pair_residual_check_rejects_an_inaccurate_rule(monkeypatch):
+    a = np.diag([0.0, 1.3]).astype(complex)
+    # 8 trapezoid nodes leave Tr P within trace_tol of 1 but phi off by ~1e-3
+    c = Circle(0.0, 0.55, 8)
+    use_probes(monkeypatch, np.ones(2), np.ones(2))
+    with pytest.raises(RankNotOneError, match="residuals"):
+        enclosed_pair(a, c, clearance_factor=0.0)
+    phi, _, _, _ = enclosed_pair(a, Circle(0.0, 0.55, 64), clearance_factor=1.0)
+    assert abs(abs(phi[0]) - 1.0) <= 1e-14

@@ -269,7 +269,7 @@ def test_duhamel_commuting_closed_form(rng):
     d = np.diag(np.array([0.3, 0.9, 1.7]))
     t = np.diag(np.array([1.0, -0.5, 0.25]))
     beta = 0.8
-    out = semigroup.duhamel_first_order(beta, d, t, s_nodes=8)
+    out = semigroup.duhamel_first_order(beta, d, t)
     expect = -beta * t @ numcore.expm_oracle(-beta * d)
     assert np.linalg.norm(out - expect, 2) <= 1e-10 * np.linalg.norm(expect, 2)
 
@@ -289,7 +289,7 @@ def test_duhamel_matches_finite_difference(rng, monkeypatch):
     for beta, h, t, sec in cases:
         n = h.shape[0]
         calls.clear()
-        out = semigroup.duhamel_first_order(beta, h, t, s_nodes=20, sector=sec)
+        out = semigroup.duhamel_first_order(beta, h, t, sector=sec)
         assert len(calls) == 1
         eps = 1e-5
         fd = (numcore.expm_oracle(-beta * (h + eps * t))
@@ -308,8 +308,7 @@ def test_duhamel_checks_supplied_sector(rng):
     h = rand_sectorial(rng, 6, angle=0.4)
     t = rand_hermitian(rng, 6, lo=-1.0, hi=1.0)
     with pytest.raises(SectorViolationError):
-        semigroup.duhamel_first_order(1.0, h, t, s_nodes=8,
-                                      sector=Sector(vertex=10.0, half_angle=0.01))
+        semigroup.duhamel_first_order(1.0, h, t, sector=Sector(vertex=10.0, half_angle=0.01))
 
 
 def test_of_norm_self_and_rotation(rng):
