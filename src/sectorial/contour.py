@@ -20,9 +20,9 @@ form a resolvent.  Traces of the resolvent come from
 :func:`hessenberg_trace_sum`: O(n^2) per node by Hyman's method, summed in
 the same fixed order; :func:`extract_eigenvalue` takes Tr P and Tr AP from
 it.  The rank-one pair phi, eta of an isolated eigenvalue comes from
-:func:`enclosed_pair`, which applies the contour to two probe vectors: one
-forward and one back substitution per node on the same shifted Hessenberg
-LU, O(n^2) per node.
+:func:`enclosed_pair`: one complex Schur decomposition A = Z T Z* per pass,
+then one back and one forward substitution on T - zeta_j per node, O(n^2)
+(~0.1 s a pass at n = 256 and 128 nodes, one BLAS thread, mostly Schur).
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from .errors import (
     SpectrumHitError,
 )
 from .forms import Sector
-from .numcore import PairwiseAccumulator, as_matrix, eigvals_oracle, pairwise_sum
+from .numcore import (PairwiseAccumulator, as_matrix, eigvals_oracle, pairwise_sum,
+                      schur_oracle)
 
 DEFAULT_CIRCLE_NODES = 128
 DEFAULT_GAUSS_ORDER = 16
@@ -193,7 +194,7 @@ class RightBoundary:
 
 # -- operator calculus --------------------------------------------------------
 
-def _hessenberg_lu(h: np.ndarray, z: np.ndarray, u: np.ndarray | None = None):
+def _hessenberg_lu(h: np.ndarray, z: np.ndarray):
     """LU of H - z_j I for every shift z_j of an upper-Hessenberg H, in O(n^2)
     per shift, vectorized over the shifts.
 
@@ -202,14 +203,12 @@ def _hessenberg_lu(h: np.ndarray, z: np.ndarray, u: np.ndarray | None = None):
     are the ones GEPP picks; only the shifts that swap at a step exchange
     rows, the rest share one elimination.  Returns ``u`` with ``u[j] = U_j``
     (row-major, so each step stores one contiguous row per shift) and the
-    multipliers and swap flags of each step, shape (shifts, n - 1).  ``u``
-    may be passed in as a zeroed (shifts, n, n) buffer to reuse: only its
-    upper triangles are written.  A shift with a pivot that is exactly zero or not finite raises
+    multipliers and swap flags of each step, shape (shifts, n - 1).  A shift
+    with a pivot that is exactly zero or not finite raises
     SingularMatrixError naming the shift's index, z_j and the pivot.
     """
     n, c = h.shape[0], z.size
-    if u is None:
-        u = np.zeros((c, n, n), dtype=complex)
+    u = np.zeros((c, n, n), dtype=complex)
     mult = np.empty((c, n - 1), dtype=complex)
     swap = np.empty((c, n - 1), dtype=bool)
     sub = np.diagonal(h, -1)
@@ -264,33 +263,15 @@ def _resolvent_nodes(a: np.ndarray, rule: QuadratureRule) -> list[np.ndarray]:
         for j in range(z.size):
             inv, _ = lapack.ztrtri(u[j])  # U_j^-1, Fortran order
             u[j] = inv.T                  # rows of u[j] are columns of U_j^-1
-        # rows of u[j] are columns of the resolvent: R^T = M^T U^-T
-        _apply_mt(u, mult, swap)
+        # rows of u[j] become columns of the resolvent, R^T = M^T U^-T: the
+        # transposed Gauss transforms and row swaps of the LU, last step first
+        swapped = swap.any(axis=0)
+        for k in range(mult.shape[1] - 1, -1, -1):
+            u[:, k] -= mult[:, k, None] * u[:, k + 1]
+            if swapped[k]:
+                sw = np.flatnonzero(swap[:, k])
+                u[sw[:, None], [k, k + 1]] = u[sw[:, None], [k + 1, k]]
     return list(u.transpose(0, 2, 1))
-
-
-def _apply_m(x, mult, swap) -> None:
-    """x_j <- M_j x_j in place for each node j (axis 0), M_j the row swaps and
-    Gauss transforms of the node's Hessenberg LU, first step first."""
-    m = mult.reshape(mult.shape + (1,) * (x.ndim - 2))
-    swapped = swap.any(axis=0)
-    for k in range(mult.shape[1]):
-        if swapped[k]:
-            sw = np.flatnonzero(swap[:, k])
-            x[sw[:, None], [k, k + 1]] = x[sw[:, None], [k + 1, k]]
-        x[:, k + 1] -= m[:, k] * x[:, k]
-
-
-def _apply_mt(x, mult, swap) -> None:
-    """x_j <- M_j^T x_j in place for each node j (axis 0): the transposed
-    steps of :func:`_apply_m`, last step first."""
-    m = mult.reshape(mult.shape + (1,) * (x.ndim - 2))
-    swapped = swap.any(axis=0)
-    for k in range(mult.shape[1] - 1, -1, -1):
-        x[:, k] -= m[:, k] * x[:, k + 1]
-        if swapped[k]:
-            sw = np.flatnonzero(swap[:, k])
-            x[sw[:, None], [k, k + 1]] = x[sw[:, None], [k + 1, k]]
 
 
 def _chunk_nodes(n: int) -> int:
@@ -415,7 +396,9 @@ def hessenberg_trace_sum(h, rule: QuadratureRule, funcs) -> list[complex]:
 
 def _check_clearance(rule: QuadratureRule, spectrum: np.ndarray,
                      factor: float = CLEARANCE_FACTOR) -> None:
-    dist = np.abs(rule.nodes[:, None] - spectrum[None, :]).min()
+    # TRACE_CHUNK_NODES nodes at a time: the distance table does not grow with the rule
+    dist = min(np.abs(rule.nodes[lo:lo + TRACE_CHUNK_NODES, None] - spectrum).min()
+               for lo in range(0, len(rule.nodes), TRACE_CHUNK_NODES))
     spacing = rule.max_spacing()
     if dist < factor * spacing:
         raise ContourThroughSpectrumError(
@@ -491,7 +474,8 @@ def enclosed_eigenvalue(tr_p, tr_ap, trace_tol: float = 0.01) -> complex:
 
 
 def _enclosed_traces(h, rule: QuadratureRule) -> list[complex]:
-    """(Tr P, Tr AP) over the contour from the trace engine on Hessenberg H."""
+    """(Tr P, Tr AP) over the contour from the trace engine on an
+    upper-Hessenberg (or triangular) H."""
     sums = hessenberg_trace_sum(h, rule, [lambda z: 1.0, lambda z: z])
     return [-s / (2j * math.pi) for s in sums]
 
@@ -512,54 +496,62 @@ def _default_probes(n: int) -> np.ndarray:
     return g[:, 0] + 1j * g[:, 1]
 
 
-def _probe_sums(h: np.ndarray, rule: QuadratureRule, b: np.ndarray, c: np.ndarray):
-    """(sum_j w_j R(zeta_j, H) b, sum_j w_j R(zeta_j, H)^T c) for an
-    upper-Hessenberg H, without forming any resolvent.
+def _shifted_triangular_solves(t, z, b, c, first: int = 0):
+    """(X, Y) with columns (T - z_j I)^-1 b and (T - z_j I)^-T c for an
+    upper-triangular T: one back and one forward substitution, each row a
+    vector over the shifts, O(n^2) per shift.  A pivot t_ii - z_j that is
+    zero or not finite raises SingularMatrixError naming node ``first + j``,
+    z_j and the pivot."""
+    piv = np.diagonal(t)[:, None] - z
+    bad = np.argwhere(~(np.isfinite(piv) & (piv != 0)).T)
+    if bad.size:
+        j, i = bad[0]
+        raise SingularMatrixError(
+            f"node {first + j} (zeta = {complex(z[j]):.6g}) has Schur pivot {i} = "
+            f"{complex(piv[i, j]):.3e}: the node is on the spectrum")
+    tc = np.ascontiguousarray(t.T)  # row i holds column i of T
+    x, y = np.empty_like(piv), np.empty_like(piv)
+    for i in range(len(t) - 1, -1, -1):
+        x[i] = (b[i] - t[i, i + 1:] @ x[i + 1:]) / piv[i]
+    for i in range(len(t)):
+        y[i] = (c[i] - tc[i, :i] @ y[:i]) / piv[i]
+    return x, y
 
-    Per node: the shifted Hessenberg LU H - zeta_j I = M_j^-1 U_j of
-    :func:`_hessenberg_lu`, then R b = U^-1 (M b) (the LU's swaps and Gauss
-    transforms, first step first, and one back substitution) and
-    R^T c = M^T (U^-T c) (one forward substitution, then the transposed
-    steps, last first): O(n^2) per node.  Nodes are solved
-    :func:`_chunk_nodes` at a time and the m terms of each sum reduced by
-    :func:`pairwise_sum` in node order.
-    """
-    n = h.shape[0]
-    right, left = [], []
-    step = _chunk_nodes(n)
-    buf = np.zeros((min(step, len(rule.nodes)), n, n), dtype=complex)  # reused U storage
-    for lo in range(0, len(rule.nodes), step):
-        z = rule.nodes[lo:lo + step]
-        w = rule.weights[lo:lo + step, None]
-        u, mult, swap = _hessenberg_lu(h, z, buf[:z.size])
-        x = np.tile(b, (z.size, 1))
-        y = np.empty_like(x)
-        with np.errstate(all="ignore"):
-            _apply_m(x, mult, swap)
-            for j in range(z.size):
-                x[j] = lapack.ztrtrs(u[j].T, x[j], lower=1, trans=1)[0]  # U x = M b
-                y[j] = lapack.ztrtrs(u[j].T, c, lower=1)[0]              # U^T y = c
-            _apply_mt(y, mult, swap)
-        right += list(w * x)
-        left += list(w * y)
-    return pairwise_sum(right), pairwise_sum(left)
+
+def _triangular_probe_sums(t, rule: QuadratureRule, b, c):
+    """(sum_j w_j (T - zeta_j)^-1 b, sum_j w_j (T - zeta_j)^-T c) for an
+    upper-triangular T, solved TRACE_CHUNK_NODES nodes at a time with each
+    weighted term folded at once, so memory does not grow with the node
+    count and each sum equals ``pairwise_sum`` in node order."""
+    right, left = PairwiseAccumulator(), PairwiseAccumulator()
+    for lo in range(0, len(rule.nodes), TRACE_CHUNK_NODES):
+        x, y = _shifted_triangular_solves(t, rule.nodes[lo:lo + TRACE_CHUNK_NODES], b, c, lo)
+        for j, w in enumerate(rule.weights[lo:lo + TRACE_CHUNK_NODES]):
+            right.add(w * x[:, j])
+            left.add(w * y[:, j])
+        del x, y  # free the block before the next one is solved
+    return right.total(), left.total()
 
 
 def enclosed_pair(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
     """(phi, eta, E, spectrum) of the isolated simple eigenvalue E the contour
     encloses: its Riesz projection is P = phi eta* with |phi| = 1 and
-    eta* phi = 1, E = Tr AP, and ``spectrum`` is the oracle spectrum that
-    cleared the contour.  P itself is never formed.
+    eta* phi = 1, E = Tr AP, and ``spectrum`` is the Schur spectrum diag(T),
+    sorted like :func:`numcore.eigvals_oracle`, that cleared the contour.
+    P itself is never formed.
 
-    The contour is applied to two fixed probe vectors instead of the identity
-    (Sakurai & Sugiura, J. Comput. Appl. Math. 159, 2003; Polizzi, Phys. Rev.
-    B 79, 115112, 2009): phi is P v and eta is P* u, normalized, from two
-    O(n^2) triangular solves per node on one shifted Hessenberg LU
-    (:func:`_probe_sums`); Tr P and Tr AP come from the trace engine on the
-    same reduction A = Q H Q*.  The probes are the fixed pair of
-    :func:`_default_probes`.
+    The contour is applied to the fixed probes v, u of :func:`_default_probes`
+    instead of the identity (Sakurai & Sugiura, J. Comput. Appl. Math. 159,
+    2003; Polizzi, Phys. Rev. B 79, 115112, 2009): phi is P v and eta is
+    P* u, normalized.  One complex Schur decomposition A = Z T Z* serves the
+    pass (Trefethen, Acta Numerica 8, 1999): diag(T) clears the contour, the
+    probe sums take one back and one forward substitution on T - zeta_j per
+    node (:func:`_triangular_probe_sums`), and Tr P, Tr AP come from the
+    trace engine on T.  At n = 256 and 128 nodes (one BLAS thread) a pass
+    takes ~0.1 s, ~80% of it the Schur decomposition.
 
-    Checks, each raising a typed error: the clearance oracle; Tr P through
+    Checks, each raising a typed error: the clearance oracle; a node on a
+    Schur pivot (SingularMatrixError); Tr P through
     :func:`enclosed_eigenvalue`; each probe's overlap cosine with its vector
     (|eta* v| / |eta||v| and |phi* u| / |u|) at least PROBE_FLOOR
     (ProbeOrthogonalError); and the residuals |A phi - E phi| and
@@ -568,15 +560,17 @@ def enclosed_pair(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
     on |A|_2, so the residual checks are at least as strict as against the
     2-norm.
     """
-    a, rule, spec = _cleared(a, contour, clearance_factor)
-    h, q = sla.hessenberg(a, calc_q=True, check_finite=False)
-    energy = enclosed_eigenvalue(*_enclosed_traces(h, rule))
+    a = as_matrix(a)
+    t, z, spec = schur_oracle(a)
+    rule = contour.rule()
+    _check_clearance(rule, spec, clearance_factor)
     v, u = (np.asarray(p, dtype=complex) / np.linalg.norm(p)
             for p in _default_probes(a.shape[0]))
-    qh = q.conj().T
-    right, left = _probe_sums(h, rule, qh @ v, (qh @ u).conj())
-    pv = q @ right / (-2j * math.pi)               # P v = phi (eta* v)
-    pu = q @ left.conj() / (2j * math.pi)          # P* u = eta (phi* u)
+    zh = z.conj().T
+    right, left = _triangular_probe_sums(t, rule, zh @ v, (zh @ u).conj())
+    energy = enclosed_eigenvalue(*_enclosed_traces(t, rule))
+    pv = z @ right / (-2j * math.pi)               # P v = phi (eta* v)
+    pu = z @ left.conj() / (2j * math.pi)          # P* u = eta (phi* u)
     with np.errstate(all="ignore"):  # a probe orthogonal to its vector gives 0 / 0
         phi = pv / np.linalg.norm(pv)
         overlap_u = complex(phi.conj() @ pu)       # phi* P* u = phi* u

@@ -3,10 +3,10 @@ derivative/density evaluation for isolated nondegenerate eigenvalues.
 
 Tracking, Hellmann-Feynman derivatives and densities need only the rank-one
 pair phi, eta and E = Tr AP of an enclosed eigenvalue, never the n x n
-projection: they take it from :func:`sectorial.contour.enclosed_pair`, two
-O(n^2) probe solves per node, whose residual checks stand in for the
-idempotency and singular-value rank tests :func:`rank_one_decompose` applies
-to a full projection.
+projection: they take it from :func:`sectorial.contour.enclosed_pair`, one
+Schur decomposition per pass and two O(n^2) triangular probe solves per
+node, whose residual checks stand in for the idempotency and singular-value
+rank tests :func:`rank_one_decompose` applies to a full projection.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def track_eigenvalue(family_f, path, c0: Circle, s_values=None,
     circle = c0
     pin = None
     for k, (s, p) in enumerate(zip(s_values, path)):
-        # one probe pass gives the pair and E; its oracle spectrum gives the gap
+        # one probe pass gives the pair and E; its Schur spectrum gives the gap
         phi, eta, energy, spec = enclosed_pair(family_f(p), circle)
         gap = _gap_at(spec, energy)
         if gap < gap_floor:
@@ -144,7 +144,8 @@ def hellmann_feynman(family_f, x, w, contour: Circle, dfamily=None,
                      fd_step: float = 1e-2) -> complex:
     """Directional eigenvalue derivative <eta| (D h . w) |phi> at parameter x.
 
-    The pair comes from one probe pass (:func:`enclosed_pair`), which checks
+    The pair comes from one probe pass (:func:`enclosed_pair`: one Schur
+    decomposition of H and two triangular solves per node), which checks
     phi and eta as right and left eigenvectors to ``contour.RESIDUAL_TOL`` * |H|.
 
     ``dfamily(x, w)`` supplies the directional derivative of the form matrix;
@@ -165,8 +166,8 @@ def hellmann_feynman(family_f, x, w, contour: Circle, dfamily=None,
 def eigenstate_density(grid, space, cfg, contour: Circle):
     """(rho, J) of the isolated eigenstate of a lattice family enclosed by the contour.
 
-    Takes the rank-one pair from one probe pass (:func:`enclosed_pair`) and
-    evaluates the lattice charge/current formulas at the configuration's
+    Takes the rank-one pair from one probe pass (:func:`enclosed_pair`: one
+    Schur decomposition and two triangular solves per node) and evaluates the lattice charge/current formulas at the configuration's
     vector potential.
     """
     matrix = schrodinger.family(grid, space, cfg)

@@ -160,6 +160,19 @@ def eigvals_oracle(a) -> np.ndarray:
     return w[np.lexsort((w.imag, w.real))]
 
 
+def schur_oracle(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, Z, spectrum): the complex Schur form A = Z T Z* (T upper
+    triangular, Z unitary) and diag(T) sorted like :func:`eigvals_oracle`,
+    for callers that clear a contour and then solve in the Schur basis."""
+    a = as_matrix(a)
+    try:
+        t, z = sla.schur(a, output="complex", check_finite=False)
+    except sla.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from exc
+    w = np.diagonal(t)
+    return t, z, w[np.lexsort((w.imag, w.real))]
+
+
 def expm_oracle(a, norm_cap: float = EXPM_NORM_CAP) -> np.ndarray:
     """Matrix exponential by scaling and squaring (scipy backend)."""
     a = as_matrix(a)

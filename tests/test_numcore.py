@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sectorial import numcore
-from sectorial.errors import InvalidPError, OverflowError_, SingularMatrixError
+from sectorial.errors import InvalidPError, NoConvergenceError, OverflowError_, SingularMatrixError
 
 from conftest import rand_complex, rand_hermitian
 
@@ -70,6 +70,25 @@ def test_eig_sort_order(rng):
     w = numcore.eig_oracle(a).eigenvalues
     key = list(zip(w.real, w.imag))
     assert key == sorted(key)
+
+
+def test_schur_oracle_factors_and_sorts_like_eigvals(rng):
+    for n in (1, 2, 12):
+        a = rand_complex(rng, n)
+        t, z, spec = numcore.schur_oracle(a)
+        assert not np.tril(t, -1).any()
+        assert np.linalg.norm(z.conj().T @ z - np.eye(n)) <= 1e-14 * n
+        assert np.linalg.norm(z @ t @ z.conj().T - a) <= 1e-13 * np.linalg.norm(a)
+        assert sorted(spec.tolist(), key=lambda w: (w.real, w.imag)) == spec.tolist()
+        assert np.abs(spec - numcore.eigvals_oracle(a)).max() <= 1e-12 * np.linalg.norm(a)
+
+
+def test_schur_oracle_maps_lapack_failure_to_no_convergence(monkeypatch):
+    def boom(*args, **kw):
+        raise numcore.sla.LinAlgError("Schur form not found")
+    monkeypatch.setattr(numcore.sla, "schur", boom)
+    with pytest.raises(NoConvergenceError, match="Schur form not found"):
+        numcore.schur_oracle(np.eye(3))
 
 
 def test_expm_zero_is_identity():
