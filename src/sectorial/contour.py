@@ -20,9 +20,11 @@ form a resolvent.  Traces of the resolvent come from
 :func:`hessenberg_trace_sum`: O(n^2) per node by Hyman's method, summed in
 the same fixed order; :func:`extract_eigenvalue` takes Tr P and Tr AP from
 it.  The rank-one pair phi, eta of an isolated eigenvalue comes from
-:func:`enclosed_pair`: one complex Schur decomposition A = Z T Z* per pass,
-then one back and one forward substitution on T - zeta_j per node, O(n^2)
-(~0.1 s a pass at n = 256 and 128 nodes, one BLAS thread, mostly Schur).
+:func:`enclosed_pair`: one complex Schur decomposition A = Z T Z* per
+distinct matrix (:func:`numcore.schur_oracle` keeps the last one), then one
+back and one forward substitution on T - zeta_j per node, O(n^2) (~0.1 s a
+pass at n = 256 and 128 nodes, one BLAS thread, mostly Schur; ~0.01 s when
+the pass reuses the decomposition).
 """
 
 from __future__ import annotations
@@ -321,6 +323,18 @@ def _hessenberg_blocks(h: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+def _trace_segments(blocks: list[tuple[int, int]]) -> list[tuple[int, int, bool]]:
+    """(lo, hi, diagonal) in block order: each run of consecutive 1 x 1 blocks
+    merged into one range with ``diagonal`` set, larger blocks as they are."""
+    segments = []
+    for a, b in blocks:
+        if b - a == 1 and segments and segments[-1][2] and segments[-1][1] == a:
+            segments[-1] = (segments[-1][0], b, True)
+        else:
+            segments.append((a, b, b - a == 1))
+    return segments
+
+
 def _hyman_traces(b: np.ndarray, z: np.ndarray):
     """(Tr R(z_j, B), c_j, c'_j) at every shift z_j for an unreduced
     upper-Hessenberg block B.
@@ -355,6 +369,39 @@ def _hyman_traces(b: np.ndarray, z: np.ndarray):
     return tr, c, dc
 
 
+def _add_segment_traces(tr, h, a: int, b: int, diagonal: bool, z, first: int) -> None:
+    """tr += Tr R(z_j) of rows a:b of upper-Hessenberg ``h``, one diagonal
+    block or (``diagonal``) a run of 1 x 1 blocks.
+
+    A run is one expression: Hyman's k = 1 trace 1/(h_ii - z) over its rows
+    and the shifts, added to tr row by row, so tr is the block-by-block sum
+    bit for bit; a larger block goes through :func:`_hyman_traces`.  A trace
+    that is not finite raises SpectrumHitError naming node ``first + j``,
+    z_j, Hyman's c and c' and the block rows.
+    """
+    if diagonal:
+        rows_tr = np.subtract(np.diagonal(h)[a:b, None], z)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(1.0, rows_tr, out=rows_tr)
+    else:
+        block_tr, c, dc = _hyman_traces(h[a:b, a:b], z)
+        rows_tr = block_tr[None]
+    bad = np.argwhere(~np.isfinite(rows_tr))
+    if bad.size:
+        i, j = bad[0]
+        if diagonal:  # the 1 x 1 block of row a + i: c = h_ii - z, c' = -1
+            a, b = a + i, a + i + 1
+            c_j, dc_j = h[a, a] - z[j], -1.0
+        else:
+            c_j, dc_j = c[j], dc[j]
+        raise SpectrumHitError(
+            f"node {first + j} (zeta = {complex(z[j]):.6g}) gives Hyman c = "
+            f"{complex(c_j):.3e}, c' = {complex(dc_j):.3e} on Hessenberg "
+            f"block rows {a}:{b}: the node is numerically on the spectrum")
+    for row in rows_tr:
+        tr += row
+
+
 def hessenberg_trace_sum(h, rule: QuadratureRule, funcs) -> list[complex]:
     """sum_j w_j f(zeta_j) Tr R(zeta_j, H) over the nodes of ``rule`` for an
     upper-Hessenberg H, for each f; the trace-only counterpart of
@@ -365,29 +412,23 @@ def hessenberg_trace_sum(h, rule: QuadratureRule, funcs) -> list[complex]:
     time, so memory is O(TRACE_CHUNK_NODES * n) whatever the node count.  H
     is split into diagonal blocks at subdiagonals <= eps * |H|_F and the
     block traces are added, which makes diagonal and block-triangular inputs
-    exact.  Each f's m terms are reduced with :func:`pairwise_sum` in node
-    order, so the sums are reproducible.  A node where det(H - zeta I)
-    vanishes or the trace is not finite raises SpectrumHitError naming the
-    node.
+    exact.  A run of 1 x 1 blocks (all of a triangular H) is one vectorized
+    expression (:func:`_add_segment_traces`), with the traces block-by-block
+    Hyman gives bit for bit.  Each f's m terms are reduced with
+    :func:`pairwise_sum` in node order, so the sums are reproducible.  A node
+    where det(H - zeta I) vanishes or the trace is not finite raises
+    SpectrumHitError naming the node.
     """
     h = as_matrix(h)
     if np.any(np.tril(h, -2)):
         raise ValueError("expected an upper-Hessenberg matrix")
-    blocks = _hessenberg_blocks(h)
+    segments = _trace_segments(_hessenberg_blocks(h))
     terms = [[] for _ in funcs]
     for lo in range(0, len(rule.nodes), TRACE_CHUNK_NODES):
         z = rule.nodes[lo:lo + TRACE_CHUNK_NODES]
         tr = np.zeros(z.size, dtype=complex)
-        for a, b in blocks:
-            block_tr, c, dc = _hyman_traces(h[a:b, a:b], z)
-            bad = np.flatnonzero(~np.isfinite(block_tr))
-            if bad.size:
-                j = bad[0]
-                raise SpectrumHitError(
-                    f"node {lo + j} (zeta = {complex(z[j]):.6g}) gives Hyman c = "
-                    f"{complex(c[j]):.3e}, c' = {complex(dc[j]):.3e} on Hessenberg "
-                    f"block rows {a}:{b}: the node is numerically on the spectrum")
-            tr += block_tr
+        for a, b, diagonal in segments:
+            _add_segment_traces(tr, h, a, b, diagonal, z, lo)
         weights = rule.weights[lo:lo + TRACE_CHUNK_NODES]
         for f, acc in zip(funcs, terms):
             acc += [w * f(zj) * t for zj, w, t in zip(z, weights, tr)]
@@ -543,12 +584,14 @@ def enclosed_pair(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
     The contour is applied to the fixed probes v, u of :func:`_default_probes`
     instead of the identity (Sakurai & Sugiura, J. Comput. Appl. Math. 159,
     2003; Polizzi, Phys. Rev. B 79, 115112, 2009): phi is P v and eta is
-    P* u, normalized.  One complex Schur decomposition A = Z T Z* serves the
-    pass (Trefethen, Acta Numerica 8, 1999): diag(T) clears the contour, the
-    probe sums take one back and one forward substitution on T - zeta_j per
-    node (:func:`_triangular_probe_sums`), and Tr P, Tr AP come from the
-    trace engine on T.  At n = 256 and 128 nodes (one BLAS thread) a pass
-    takes ~0.1 s, ~80% of it the Schur decomposition.
+    P* u, normalized.  One complex Schur decomposition A = Z T Z* per
+    distinct matrix serves the pass (Trefethen, Acta Numerica 8, 1999):
+    diag(T) clears the contour, the probe sums take one back and one forward
+    substitution on T - zeta_j per node (:func:`_triangular_probe_sums`), and
+    Tr P, Tr AP come from the trace engine on T.  At n = 256 and 128 nodes
+    (one BLAS thread) a pass takes ~0.1 s, ~80% of it the Schur
+    decomposition, and ~0.01 s when it is the same A as the last
+    decomposition :func:`numcore.schur_oracle` made.
 
     Checks, each raising a typed error: the clearance oracle; a node on a
     Schur pivot (SingularMatrixError); Tr P through

@@ -4,9 +4,10 @@ derivative/density evaluation for isolated nondegenerate eigenvalues.
 Tracking, Hellmann-Feynman derivatives and densities need only the rank-one
 pair phi, eta and E = Tr AP of an enclosed eigenvalue, never the n x n
 projection: they take it from :func:`sectorial.contour.enclosed_pair`, one
-Schur decomposition per pass and two O(n^2) triangular probe solves per
-node, whose residual checks stand in for the idempotency and singular-value
-rank tests :func:`rank_one_decompose` applies to a full projection.
+Schur decomposition per distinct matrix and two O(n^2) triangular probe
+solves per node, whose residual checks stand in for the idempotency and
+singular-value rank tests :func:`rank_one_decompose` applies to a full
+projection.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ def hellmann_feynman(family_f, x, w, contour: Circle, dfamily=None,
     """Directional eigenvalue derivative <eta| (D h . w) |phi> at parameter x.
 
     The pair comes from one probe pass (:func:`enclosed_pair`: one Schur
-    decomposition of H and two triangular solves per node), which checks
+    decomposition per distinct H, so a pass on the H the last tracking step
+    solved reuses it, and two triangular solves per node), which checks
     phi and eta as right and left eigenvectors to ``contour.RESIDUAL_TOL`` * |H|.
 
     ``dfamily(x, w)`` supplies the directional derivative of the form matrix;
@@ -167,8 +169,10 @@ def eigenstate_density(grid, space, cfg, contour: Circle):
     """(rho, J) of the isolated eigenstate of a lattice family enclosed by the contour.
 
     Takes the rank-one pair from one probe pass (:func:`enclosed_pair`: one
-    Schur decomposition and two triangular solves per node) and evaluates the lattice charge/current formulas at the configuration's
-    vector potential.
+    Schur decomposition per distinct matrix, so the matrix a Hellmann-Feynman
+    pass just solved is not decomposed again, and two triangular solves per
+    node) and evaluates the lattice charge/current formulas at the
+    configuration's vector potential.
     """
     matrix = schrodinger.family(grid, space, cfg)
     phi, eta, _, _ = enclosed_pair(matrix, contour)

@@ -8,6 +8,8 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
+from sectorial import numcore
+
 
 def rand_complex(rng, n, m=None):
     m = n if m is None else m
@@ -27,6 +29,22 @@ def rand_sectorial(rng, n, angle=0.3, lo=0.5, hi=3.0):
     k = (k + k.conj().T) / 2
     k *= angle * lo / max(np.linalg.norm(k, 2), 1e-30)
     return h + 1j * k
+
+
+def count_lapack_schur(monkeypatch):
+    """Log of the LAPACK Schur decompositions made while the test runs."""
+    calls = []
+    schur = numcore.sla.schur
+    monkeypatch.setattr(numcore.sla, "schur",
+                        lambda *args, **kw: calls.append(args) or schur(*args, **kw))
+    return calls
+
+
+@pytest.fixture(autouse=True)
+def fresh_schur_memo():
+    """Start every test with no kept Schur decomposition, so the order of the
+    tests cannot decide whether a test decomposes or reuses one."""
+    numcore.drop_schur_memo()
 
 
 @pytest.fixture

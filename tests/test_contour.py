@@ -39,7 +39,7 @@ from sectorial.errors import (
 )
 from sectorial.forms import Sector, fit_sector, numerical_range
 
-from conftest import rand_complex, rand_hermitian, rand_sectorial
+from conftest import count_lapack_schur, rand_complex, rand_hermitian, rand_sectorial
 
 
 def oracle_projector(a, inside):
@@ -405,6 +405,7 @@ def test_resolvent_batches_never_exceed_the_chunk(rng, monkeypatch):
 def test_track_step_is_one_pass_and_one_oracle(monkeypatch):
     fam = lambda s: np.diag([0.1 * s, 1.0, 2.0]).astype(complex)
     schurs = count_calls(monkeypatch, numcore.schur_oracle)
+    lapack_schurs = count_lapack_schur(monkeypatch)
     factors = count_calls(monkeypatch, contour._hessenberg_lu)
     resolvents = count_calls(monkeypatch, contour._resolvent_nodes)
     oracles = count_calls(monkeypatch, numcore.eigvals_oracle)
@@ -414,8 +415,55 @@ def test_track_step_is_one_pass_and_one_oracle(monkeypatch):
                         lambda *args, **kw: reductions.append(args) or hessenberg(*args, **kw))
     steps = 3
     eigenstate.track_eigenvalue(fam, [0.0, 0.5, 1.0], Circle(0.0, 0.3, 128))
-    assert len(schurs) == steps
+    assert len(schurs) == len(lapack_schurs) == steps
     assert not factors and not resolvents and not oracles and not reductions
+
+
+def lattice_ramp_end(grid, space, base, dirs, x_end, w):
+    """Track along a 3-point ramp to x_end, then Hellmann-Feynman along w and
+    the density at the ramp end, on the last step's circle."""
+    fam, dfam = schrodinger.config_family(grid, space, base, dirs)
+    spec = numcore.eigvals_oracle(fam(np.zeros(len(dirs))))
+    c0 = Circle(complex(spec[0]), 0.4 * abs(spec[1] - spec[0]), 64)
+    steps = (0.0, 0.5, 1.0)
+    points = eigenstate.track_eigenvalue(fam, [s * x_end for s in steps], c0, s_values=steps)
+    radius = min([c0.radius] + [eigenstate.RADIUS_GAP_FACTOR * p.gap for p in points])
+    circle = Circle(points[-1].energy, radius, c0.nodes)
+    hf = eigenstate.hellmann_feynman(fam, x_end, w, circle, dfamily=dfam)
+    cfg_end = base
+    for c, d in zip(x_end, dirs):
+        cfg_end = cfg_end + c * d
+    rho, current = eigenstate.eigenstate_density(grid, space, cfg_end, circle)
+    pairs = [np.concatenate([p.pair.phi, p.pair.eta]) for p in points]
+    return [np.array([p.energy for p in points]), np.array([hf]), rho, current, *pairs]
+
+
+def test_lattice_ramp_end_is_decomposed_once(rng, monkeypatch):
+    grid = schrodinger.Grid(d=1, n=6, delta=0.5)
+    space = schrodinger.ManyBodySpace(grid=grid, particles=2)
+    x = np.arange(6)
+    base = schrodinger.FieldConfig.zero(grid, u0=1.5 + np.cos(2 * np.pi * x / 6),
+                                        v0=0.4 / (1.0 + (0.5 * np.minimum(x, 6 - x)) ** 2))
+    dirs = [schrodinger.delta_u(grid, j) for j in range(6)] \
+        + [schrodinger.delta_a(grid, 0, (j,)) for j in range(6)]
+    x_end = 0.05 * rng.standard_normal(len(dirs)) * (1.0 + 0.3j)
+    w = rng.standard_normal(len(dirs))
+    with monkeypatch.context() as patch:
+        calls = count_lapack_schur(patch)
+        shared = lattice_ramp_end(grid, space, base, dirs, x_end, w)
+    # three ramp steps; Hellmann-Feynman and the density reuse the last one
+    assert len(calls) == 3
+    oracle = numcore.schur_oracle
+
+    def fresh(a):
+        numcore.drop_schur_memo()
+        return oracle(a)
+    monkeypatch.setattr(contour, "schur_oracle", fresh)
+    calls = count_lapack_schur(monkeypatch)
+    alone = lattice_ramp_end(grid, space, base, dirs, x_end, w)
+    assert len(calls) == 5
+    for got, ref in zip(shared, alone):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_engine_matches_dense_solve_reference(rng):
@@ -690,8 +738,13 @@ def test_shifted_triangular_solves_match_per_node_reference(rng):
             assert np.linalg.norm(y[:, j] - ref_y) <= 1e-13 * np.linalg.norm(ref_y), name
 
 
-def pair_pass_peak(a, c):
+def pair_pass_peak(a, c, cold):
+    """Peak traced bytes of one enclosed_pair pass after a warm-up pass on
+    the same A, which makes the measured pass reuse its Schur decomposition
+    unless ``cold`` drops it first."""
     enclosed_pair(a, c)  # warm caches outside the measurement
+    if cold:
+        numcore.drop_schur_memo()
     tracemalloc.start()
     try:
         enclosed_pair(a, c)
@@ -704,9 +757,10 @@ def test_pair_pass_memory_does_not_grow_with_the_node_count(rng):
     a = rand_sectorial(rng, 128)
     spec = numcore.eigvals_oracle(a)
     gap = np.abs(spec[1:] - spec[0]).min()
-    peaks = {m: pair_pass_peak(a, Circle(complex(spec[0]), 0.4 * gap, m))
-             for m in (128, TRACE_CHUNK_NODES, 4 * TRACE_CHUNK_NODES)}
-    # a 128-node pass solves one half-width block; past one full block of
-    # TRACE_CHUNK_NODES nodes only the per-node scalars add up
-    assert peaks[128] <= peaks[4 * TRACE_CHUNK_NODES]
-    assert peaks[4 * TRACE_CHUNK_NODES] <= 1.05 * peaks[TRACE_CHUNK_NODES]
+    for cold in (True, False):
+        peaks = {m: pair_pass_peak(a, Circle(complex(spec[0]), 0.4 * gap, m), cold)
+                 for m in (128, TRACE_CHUNK_NODES, 4 * TRACE_CHUNK_NODES)}
+        # a 128-node pass solves one half-width block; past one full block of
+        # TRACE_CHUNK_NODES nodes only the per-node scalars add up
+        assert peaks[128] <= peaks[4 * TRACE_CHUNK_NODES], cold
+        assert peaks[4 * TRACE_CHUNK_NODES] <= 1.05 * peaks[TRACE_CHUNK_NODES], cold

@@ -6,7 +6,7 @@ import pytest
 from sectorial import numcore
 from sectorial.errors import InvalidPError, NoConvergenceError, OverflowError_, SingularMatrixError
 
-from conftest import rand_complex, rand_hermitian
+from conftest import count_lapack_schur, rand_complex, rand_hermitian
 
 
 def test_solve_identity():
@@ -89,6 +89,55 @@ def test_schur_oracle_maps_lapack_failure_to_no_convergence(monkeypatch):
     monkeypatch.setattr(numcore.sla, "schur", boom)
     with pytest.raises(NoConvergenceError, match="Schur form not found"):
         numcore.schur_oracle(np.eye(3))
+
+
+def test_schur_oracle_hit_returns_the_kept_read_only_factors(rng, monkeypatch):
+    a = rand_complex(rng, 12)
+    first = numcore.schur_oracle(a)
+    calls = count_lapack_schur(monkeypatch)
+    # another array with the same bits, in Fortran order, is the same input
+    again = numcore.schur_oracle(np.asfortranarray(a.copy()))
+    assert not calls
+    for kept, hit in zip(first, again):
+        assert hit.tobytes() == kept.tobytes()
+        assert not hit.flags.writeable
+        with pytest.raises(ValueError):
+            hit[0] = 1.0
+
+
+def test_schur_oracle_decomposes_again_after_an_in_place_change(rng, monkeypatch):
+    a = rand_complex(rng, 6)
+    a[2, 3] = 0.0
+    calls = count_lapack_schur(monkeypatch)
+    numcore.schur_oracle(a)
+    numcore.schur_oracle(a)
+    assert len(calls) == 1
+    a[2, 3] = -0.0  # equal value, other bits
+    t, z, _ = numcore.schur_oracle(a)
+    assert len(calls) == 2
+    assert np.linalg.norm(z @ t @ z.conj().T - a) <= 1e-13 * np.linalg.norm(a)
+    a[0, 0] += 1.0
+    t, z, spec = numcore.schur_oracle(a)
+    assert len(calls) == 3
+    assert np.linalg.norm(z @ t @ z.conj().T - a) <= 1e-13 * np.linalg.norm(a)
+    assert np.abs(spec - numcore.eigvals_oracle(a)).max() <= 1e-12 * np.linalg.norm(a)
+    numcore.schur_oracle(a[:5, :5])  # another shape
+    assert len(calls) == 4
+
+
+def test_schur_oracle_failure_keeps_no_entry(rng, monkeypatch):
+    a, b = rand_complex(rng, 5), rand_complex(rng, 5)
+    numcore.schur_oracle(a)
+
+    def boom(*args, **kw):
+        raise numcore.sla.LinAlgError("Schur form not found")
+    monkeypatch.setattr(numcore.sla, "schur", boom)
+    with pytest.raises(NoConvergenceError):
+        numcore.schur_oracle(b)
+    # the miss dropped a's entry and the failure kept none for b
+    for m in (a, b):
+        with pytest.raises(NoConvergenceError):
+            numcore.schur_oracle(m)
 
 
 def test_expm_zero_is_identity():
