@@ -6,25 +6,24 @@ truncation across a vertical splitting line.
 Circles use the trapezoid rule (exponentially convergent for analytic
 integrands); straight segments use composite Gauss-Legendre panels.  The
 hyperbolic rules for e^{-beta T} are built in :mod:`semigroup`.  Every
-full-matrix contour quantity goes through one engine, :func:`resolvent_sums`,
-which reduces A = Q H Q* to Hessenberg form once per call, forms each node's
-resolvent of H from an O(n^2) shifted Hessenberg LU and one triangular
-inverse (~n^3/6 multiply-adds against ~4n^3/3 for a dense LU and solve;
-Wilkinson, *The Algebraic Eigenvalue Problem*, 1965, ch. 7), folds the
-weighted terms in a fixed pairwise order and conjugates each sum by Q once
-at the end.  Nodes are solved in chunks of at most CHUNK_NODES nodes and
+contour quantity is computed in one basis, the complex Schur form
+A = Z T Z* of :func:`numcore.schur_oracle`, taken once per distinct matrix
+(it keeps the last one), whose diagonal also clears the contour; resolvents
+at many shifts from one Schur form follow Trefethen (Acta Numerica 8, 1999).
+Full-matrix quantities go through one engine, :func:`resolvent_sums`: one
+triangular inverse of T - zeta_j per node (~n^3/6 multiply-adds), the
+weighted terms folded in a fixed pairwise order and each sum conjugated by Z
+once at the end.  Nodes are solved in chunks of at most CHUNK_NODES nodes and
 CHUNK_BYTES of resolvents, so results do not depend on evaluation
 scheduling and memory grows with neither the node count nor, past
 n = 1024, the chunk.  Quantities that need less than a full matrix never
 form a resolvent.  Traces of the resolvent come from
-:func:`hessenberg_trace_sum`: O(n^2) per node by Hyman's method, summed in
-the same fixed order; :func:`extract_eigenvalue` takes Tr P and Tr AP from
-it.  The rank-one pair phi, eta of an isolated eigenvalue comes from
-:func:`enclosed_pair`: one complex Schur decomposition A = Z T Z* per
-distinct matrix (:func:`numcore.schur_oracle` keeps the last one), then one
-back and one forward substitution on T - zeta_j per node, O(n^2) (~0.1 s a
-pass at n = 256 and 128 nodes, one BLAS thread, mostly Schur; ~0.01 s when
-the pass reuses the decomposition).
+:func:`schur_trace_sum`, sum_i 1/(t_ii - zeta) per node, summed in the same
+fixed order; :func:`extract_eigenvalue` takes Tr P and Tr AP from it.  The
+rank-one pair phi, eta of an isolated eigenvalue comes from
+:func:`enclosed_pair`: one back and one forward substitution on T - zeta_j
+per node, O(n^2) (~0.1 s a pass at n = 256 and 128 nodes, one BLAS thread,
+mostly Schur; ~0.01 s when the pass reuses the decomposition).
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .errors import (
@@ -55,13 +53,12 @@ from .numcore import (PairwiseAccumulator, as_matrix, eigvals_oracle, pairwise_s
 DEFAULT_CIRCLE_NODES = 128
 DEFAULT_GAUSS_ORDER = 16
 CLEARANCE_FACTOR = 10.0
-CHUNK_NODES = 32  # most nodes per Hessenberg LU batch in resolvent_sums
+CHUNK_NODES = 32  # most nodes per triangular-inverse batch in resolvent_sums
 CHUNK_BYTES = 2 ** 29  # most bytes of resolvents per batch: 32 nodes at n = 1024
-TRACE_CHUNK_NODES = 256  # nodes per vectorized recurrence in hessenberg_trace_sum
+TRACE_CHUNK_NODES = 256  # nodes per vectorized block: traces, probe solves, clearance
 PROBE_SEED = 20031  # seed of the fixed probe vectors of enclosed_pair
 PROBE_FLOOR = 1e-6  # least overlap cosine of a probe with its eigenvector
 RESIDUAL_TOL = 1e-7  # eigenpair residuals of enclosed_pair, relative to |A|
-_HYMAN_BIG = 2.0 ** 256
 
 
 @dataclass(frozen=True)
@@ -196,84 +193,39 @@ class RightBoundary:
 
 # -- operator calculus --------------------------------------------------------
 
-def _hessenberg_lu(h: np.ndarray, z: np.ndarray):
-    """LU of H - z_j I for every shift z_j of an upper-Hessenberg H, in O(n^2)
-    per shift, vectorized over the shifts.
-
-    Partial pivoting only ever compares rows k and k+1; the swap is taken
-    when |h_{k+1,k}| > |u_kk| in LAPACK's |Re| + |Im| measure, so the pivots
-    are the ones GEPP picks; only the shifts that swap at a step exchange
-    rows, the rest share one elimination.  Returns ``u`` with ``u[j] = U_j``
-    (row-major, so each step stores one contiguous row per shift) and the
-    multipliers and swap flags of each step, shape (shifts, n - 1).  A shift
-    with a pivot that is exactly zero or not finite raises
-    SingularMatrixError naming the shift's index, z_j and the pivot.
-    """
-    n, c = h.shape[0], z.size
-    u = np.zeros((c, n, n), dtype=complex)
-    mult = np.empty((c, n - 1), dtype=complex)
-    swap = np.empty((c, n - 1), dtype=bool)
-    sub = np.diagonal(h, -1)
-    sub_size = np.abs(sub.real) + np.abs(sub.imag)
-    carry = np.empty((c, n), dtype=complex)  # row k of the partly eliminated matrix
-    carry[:] = h[0]
-    carry[:, 0] -= z
-    other = np.empty((c, n), dtype=complex)  # the row eliminated against it
-    prod = np.empty((c, n - 1), dtype=complex)
-    with np.errstate(all="ignore"):
-        for k in range(n - 1):
-            cur, nxt = carry[:, k:], other[:, k:]
-            s = sub_size[k] > np.abs(cur[:, 0].real) + np.abs(cur[:, 0].imag)
-            swap[:, k] = s
-            row, m = u[:, k, k:], mult[:, k]
-            row[...] = cur
-            nxt[:] = h[k + 1, k:]
-            nxt[:, 1] -= z
-            if s.any():  # few shifts swap: exchange just their two rows
-                sw = np.flatnonzero(s)
-                row[sw], nxt[sw] = nxt[sw], cur[sw]
-            np.divide(nxt[:, 0], row[:, 0], out=m)
-            p = np.multiply(m[:, None], row[:, 1:], out=prod[:, k:])
-            np.subtract(nxt[:, 1:], p, out=carry[:, k + 1:])
-    u[:, n - 1, n - 1] = carry[:, n - 1]
-    pivots = np.diagonal(u, axis1=1, axis2=2)
-    bad = ~(np.isfinite(pivots) & (pivots != 0))
-    if bad.any():
-        j, k = np.argwhere(bad)[0]
+def _schur_pivots(t: np.ndarray, z: np.ndarray, first: int) -> np.ndarray:
+    """Pivots t_ii - z_j of T - z_j I for an upper-triangular T, shape
+    (n, shifts).  A pivot that is zero or not finite raises
+    SingularMatrixError naming node ``first + j``, z_j and the pivot."""
+    piv = np.diagonal(t)[:, None] - z
+    bad = np.argwhere(~(np.isfinite(piv) & (piv != 0)).T)
+    if bad.size:
+        j, i = bad[0]
         raise SingularMatrixError(
-            f"node {j} (zeta = {complex(z[j]):.6g}) has Hessenberg LU pivot {k} = "
-            f"{complex(pivots[j, k]):.3e}: the node is on the spectrum")
-    return u, mult, swap
+            f"node {first + j} (zeta = {complex(z[j]):.6g}) has Schur pivot {i} = "
+            f"{complex(piv[i, j]):.3e}: the node is on the spectrum")
+    return piv
 
 
 def _resolvent_nodes(a: np.ndarray, rule: QuadratureRule) -> list[np.ndarray]:
-    """R(zeta_j, A) at every node for an upper-Hessenberg A, in three steps:
-    the O(n^2) shifted Hessenberg LU A - zeta_j I = M_j^-1 U_j of every node
-    at once, one triangular inverse U_j^-1 per node (LAPACK ``ztrtri``,
-    ~n^3/6 multiply-adds, on a Fortran-ordered copy of U_j), then
-    R = U^-1 M applied as O(n^2) column operations: each Gauss transform and
-    row swap of the LU, last step first.
+    """R(zeta_j, A) = (A - zeta_j I)^-1 at every node for an upper-triangular
+    A: one LAPACK ``ztrtri`` per node, ~n^3/6 multiply-adds, in place on the
+    transposed (lower-triangular, Fortran-ordered) view of a copy of
+    A - zeta_j I.
 
     Nodes are independent and each is computed the same way whatever the
     other nodes of the rule are, so the caller's fixed pairwise fold does not
-    depend on how nodes are grouped.  A node on the spectrum raises
-    SingularMatrixError (see :func:`_hessenberg_lu`).
+    depend on how nodes are grouped.  The caller checks the pivots first
+    (:func:`_schur_pivots`).
     """
     z = rule.nodes
-    u, mult, swap = _hessenberg_lu(a, z)
-    with np.errstate(all="ignore"):
-        for j in range(z.size):
-            inv, _ = lapack.ztrtri(u[j])  # U_j^-1, Fortran order
-            u[j] = inv.T                  # rows of u[j] are columns of U_j^-1
-        # rows of u[j] become columns of the resolvent, R^T = M^T U^-T: the
-        # transposed Gauss transforms and row swaps of the LU, last step first
-        swapped = swap.any(axis=0)
-        for k in range(mult.shape[1] - 1, -1, -1):
-            u[:, k] -= mult[:, k, None] * u[:, k + 1]
-            if swapped[k]:
-                sw = np.flatnonzero(swap[:, k])
-                u[sw[:, None], [k, k + 1]] = u[sw[:, None], [k + 1, k]]
-    return list(u.transpose(0, 2, 1))
+    n = a.shape[0]
+    u = np.empty((z.size, n, n), dtype=complex)
+    u[:] = a
+    u.reshape(z.size, -1)[:, ::n + 1] -= z[:, None]
+    for r in u:
+        lapack.ztrtri(r.T, lower=1, overwrite_c=1)  # r becomes its own inverse
+    return list(u)
 
 
 def _chunk_nodes(n: int) -> int:
@@ -291,147 +243,67 @@ def _fold_chunk(sums, funcs, chunk: QuadratureRule, resolvents) -> None:
 def resolvent_sums(a: np.ndarray, rule: QuadratureRule, funcs) -> list:
     """sum_j w_j f(zeta_j) R(zeta_j, A) over the nodes of ``rule``, for each f.
 
-    The one quadrature engine behind every contour quantity.  A = Q H Q* is
-    reduced to Hessenberg form once per call (a finite reduction, not an
-    eigen-solver), so each node costs an O(n^2) LU and one triangular inverse
-    (:func:`_resolvent_nodes`).  Nodes are solved :func:`_chunk_nodes` at a
-    time (CHUNK_NODES up to n = 1024, then CHUNK_BYTES of resolvents) and
-    each weighted term is folded at once into a :class:`PairwiseAccumulator`
-    per f, so memory is O(CHUNK_BYTES + len(funcs) * log2 m * n^2) whatever
-    the node count m, and every sum equals ``pairwise_sum`` over the m terms
-    bit for bit.  Q commutes with the node sum: each total S becomes Q S Q*
-    once, at the end.
+    The one quadrature engine behind every contour quantity.  A = Z T Z* in
+    complex Schur form (:func:`numcore.schur_oracle`, which returns the
+    decomposition a clearance check on the same A just made), so each node
+    costs one triangular inverse (:func:`_resolvent_nodes`); a node on a
+    Schur pivot raises SingularMatrixError naming the node.  Nodes are
+    solved :func:`_chunk_nodes` at a time (CHUNK_NODES up to n = 1024, then
+    CHUNK_BYTES of resolvents) and each weighted term is folded at once into
+    a :class:`PairwiseAccumulator` per f, so memory is
+    O(CHUNK_BYTES + len(funcs) * log2 m * n^2) whatever the node count m, and
+    every sum equals ``pairwise_sum`` over the m terms bit for bit.  Z
+    commutes with the node sum: each total S becomes Z S Z* once, at the end.
     """
-    h, q = sla.hessenberg(as_matrix(a), calc_q=True, check_finite=False)
+    t, z, _ = schur_oracle(a)
     sums = [PairwiseAccumulator() for _ in funcs]
-    step = _chunk_nodes(h.shape[0])
+    step = _chunk_nodes(t.shape[0])
     for lo in range(0, len(rule.nodes), step):
         chunk = QuadratureRule(nodes=rule.nodes[lo:lo + step],
                                weights=rule.weights[lo:lo + step], closed=False)
+        _schur_pivots(t, chunk.nodes, lo)
         # a helper call, so the chunk's resolvents are freed before the next solve
-        _fold_chunk(sums, funcs, chunk, _resolvent_nodes(h, chunk))
-    qh = q.conj().T
-    return [q @ acc.total() @ qh for acc in sums]
+        _fold_chunk(sums, funcs, chunk, _resolvent_nodes(t, chunk))
+    zh = z.conj().T
+    return [z @ acc.total() @ zh for acc in sums]
 
 
-def _hessenberg_blocks(h: np.ndarray) -> list[tuple[int, int]]:
-    """[lo, hi) row ranges of the diagonal blocks of upper-Hessenberg ``h``,
-    split wherever |h[i+1, i]| <= eps * |h|_F (treated as an exact zero)."""
-    tol = np.finfo(float).eps * np.linalg.norm(h)
-    cuts = [0] + [int(i) + 1 for i in np.flatnonzero(np.abs(np.diagonal(h, -1)) <= tol)]
-    cuts.append(h.shape[0])
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _trace_segments(blocks: list[tuple[int, int]]) -> list[tuple[int, int, bool]]:
-    """(lo, hi, diagonal) in block order: each run of consecutive 1 x 1 blocks
-    merged into one range with ``diagonal`` set, larger blocks as they are."""
-    segments = []
-    for a, b in blocks:
-        if b - a == 1 and segments and segments[-1][2] and segments[-1][1] == a:
-            segments[-1] = (segments[-1][0], b, True)
-        else:
-            segments.append((a, b, b - a == 1))
-    return segments
-
-
-def _hyman_traces(b: np.ndarray, z: np.ndarray):
-    """(Tr R(z_j, B), c_j, c'_j) at every shift z_j for an unreduced
-    upper-Hessenberg block B.
-
-    Hyman's method: with x_k = 1, rows k..2 of (B - zI) x = c e_1 fix x by
-    back-substitution through the (nonzero) subdiagonal, and c is
-    det(B - zI) up to a factor independent of z.  Differentiating the same
-    recurrence gives c' = dc/dz, and Tr R(z) = -d/dz log det(B - zI) = -c'/c.
-    Columns [:m] of ``xs`` carry x and [m:] carry x' for the m shifts, so one
-    matrix-vector product per row serves both.
-    """
-    k, m = b.shape[0], z.size
-    xs = np.zeros((k, 2 * m), dtype=complex)
-    xs[k - 1, :m] = 1.0
-    for i in range(k - 1, 0, -1):
-        s = b[i, i:] @ xs[i:]
-        s[:m] -= z * xs[i, :m]
-        s[m:] -= z * xs[i, m:] + xs[i, :m]
-        xs[i - 1] = s / -b[i, i - 1]
-        # x and x' grow together; scale them jointly by a power of two (exact,
-        # so the ratio c'/c is unchanged) before they can overflow
-        big = np.abs(xs[i - 1]) > _HYMAN_BIG
-        if big.any():
-            cols = np.flatnonzero(big[:m] | big[m:])
-            xs[i - 1:, cols] /= _HYMAN_BIG
-            xs[i - 1:, cols + m] /= _HYMAN_BIG
-    s = b[0] @ xs
-    c = s[:m] - z * xs[0, :m]
-    dc = s[m:] - z * xs[0, m:] - xs[0, :m]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tr = -dc / c
-    return tr, c, dc
-
-
-def _add_segment_traces(tr, h, a: int, b: int, diagonal: bool, z, first: int) -> None:
-    """tr += Tr R(z_j) of rows a:b of upper-Hessenberg ``h``, one diagonal
-    block or (``diagonal``) a run of 1 x 1 blocks.
-
-    A run is one expression: Hyman's k = 1 trace 1/(h_ii - z) over its rows
-    and the shifts, added to tr row by row, so tr is the block-by-block sum
-    bit for bit; a larger block goes through :func:`_hyman_traces`.  A trace
-    that is not finite raises SpectrumHitError naming node ``first + j``,
-    z_j, Hyman's c and c' and the block rows.
-    """
-    if diagonal:
-        rows_tr = np.subtract(np.diagonal(h)[a:b, None], z)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(1.0, rows_tr, out=rows_tr)
-    else:
-        block_tr, c, dc = _hyman_traces(h[a:b, a:b], z)
-        rows_tr = block_tr[None]
-    bad = np.argwhere(~np.isfinite(rows_tr))
-    if bad.size:
-        i, j = bad[0]
-        if diagonal:  # the 1 x 1 block of row a + i: c = h_ii - z, c' = -1
-            a, b = a + i, a + i + 1
-            c_j, dc_j = h[a, a] - z[j], -1.0
-        else:
-            c_j, dc_j = c[j], dc[j]
-        raise SpectrumHitError(
-            f"node {first + j} (zeta = {complex(z[j]):.6g}) gives Hyman c = "
-            f"{complex(c_j):.3e}, c' = {complex(dc_j):.3e} on Hessenberg "
-            f"block rows {a}:{b}: the node is numerically on the spectrum")
-    for row in rows_tr:
-        tr += row
-
-
-def hessenberg_trace_sum(h, rule: QuadratureRule, funcs) -> list[complex]:
-    """sum_j w_j f(zeta_j) Tr R(zeta_j, H) over the nodes of ``rule`` for an
-    upper-Hessenberg H, for each f; the trace-only counterpart of
+def schur_trace_sum(t, rule: QuadratureRule, funcs) -> list[complex]:
+    """sum_j w_j f(zeta_j) Tr R(zeta_j, T) over the nodes of ``rule`` for an
+    upper-triangular T, for each f; the trace-only counterpart of
     :func:`resolvent_sums`.
 
-    No resolvent is formed: each node's trace is computed once, in O(n^2)
-    through Hyman's method, vectorized over TRACE_CHUNK_NODES nodes at a
-    time, so memory is O(TRACE_CHUNK_NODES * n) whatever the node count.  H
-    is split into diagonal blocks at subdiagonals <= eps * |H|_F and the
-    block traces are added, which makes diagonal and block-triangular inputs
-    exact.  A run of 1 x 1 blocks (all of a triangular H) is one vectorized
-    expression (:func:`_add_segment_traces`), with the traces block-by-block
-    Hyman gives bit for bit.  Each f's m terms are reduced with
+    No resolvent is formed: Tr R(zeta, T) = sum_i 1/(t_ii - zeta), one
+    vectorized expression over the rows and TRACE_CHUNK_NODES nodes at a
+    time, rows added in row order, so memory is O(TRACE_CHUNK_NODES * n)
+    whatever the node count.  Each f's m terms are reduced with
     :func:`pairwise_sum` in node order, so the sums are reproducible.  A node
-    where det(H - zeta I) vanishes or the trace is not finite raises
-    SpectrumHitError naming the node.
+    whose trace is not finite raises SpectrumHitError naming the node; a T
+    that is not upper triangular raises ValueError.
     """
-    h = as_matrix(h)
-    if np.any(np.tril(h, -2)):
-        raise ValueError("expected an upper-Hessenberg matrix")
-    segments = _trace_segments(_hessenberg_blocks(h))
+    t = as_matrix(t)
+    if np.any(np.tril(t, -1)):
+        raise ValueError("expected an upper-triangular matrix")
+    diag = np.diagonal(t)
     terms = [[] for _ in funcs]
     for lo in range(0, len(rule.nodes), TRACE_CHUNK_NODES):
         z = rule.nodes[lo:lo + TRACE_CHUNK_NODES]
+        rows_tr = np.subtract(diag[:, None], z)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(1.0, rows_tr, out=rows_tr)
+        bad = np.argwhere(~np.isfinite(rows_tr))
+        if bad.size:
+            i, j = bad[0]
+            raise SpectrumHitError(
+                f"node {lo + j} (zeta = {complex(z[j]):.6g}) gives 1/(t_ii - zeta) = "
+                f"{complex(rows_tr[i, j]):.3e} at Schur row {i} (t_ii = "
+                f"{complex(diag[i]):.6g}): the node is numerically on the spectrum")
         tr = np.zeros(z.size, dtype=complex)
-        for a, b, diagonal in segments:
-            _add_segment_traces(tr, h, a, b, diagonal, z, lo)
+        for row in rows_tr:
+            tr += row
         weights = rule.weights[lo:lo + TRACE_CHUNK_NODES]
         for f, acc in zip(funcs, terms):
-            acc += [w * f(zj) * t for zj, w, t in zip(z, weights, tr)]
+            acc += [w * f(zj) * tj for zj, w, tj in zip(z, weights, tr)]
     return [complex(pairwise_sum(acc)) for acc in terms]
 
 
@@ -450,11 +322,13 @@ def _check_clearance(rule: QuadratureRule, spectrum: np.ndarray,
 
 def _cleared(a, contour, clearance_factor: float = CLEARANCE_FACTOR, spectrum=None):
     """(A, rule, spectrum): A as a matrix and the contour's quadrature rule,
-    checked against the oracle spectrum (``spectrum`` when the caller already
-    holds it) by :func:`_check_clearance`."""
+    checked against the Schur spectrum (``spectrum`` when the caller already
+    holds it) by :func:`_check_clearance`.  The decomposition stays kept in
+    :func:`numcore.schur_oracle`, so the resolvent pass that follows on the
+    same A reuses it."""
     a = as_matrix(a)
     rule = contour.rule()
-    spec = eigvals_oracle(a) if spectrum is None else spectrum
+    spec = schur_oracle(a)[2] if spectrum is None else spectrum
     _check_clearance(rule, spec, clearance_factor)
     return a, rule, spec
 
@@ -464,7 +338,7 @@ def _integrate_rdt(a, contour, funcs, clearance_factor: float = CLEARANCE_FACTOR
     """-(1/2 pi i) * contour integral of f(zeta) R(zeta, A) for each f.
 
     One resolvent pass whatever the number of f.  Returns the integrals and
-    the oracle spectrum the contour was cleared against (``spectrum`` when
+    the Schur spectrum the contour was cleared against (``spectrum`` when
     the caller already holds it).
     """
     a, rule, spec = _cleared(a, contour, clearance_factor, spectrum)
@@ -495,7 +369,7 @@ def rdt_function(a, contour, f, clearance_factor: float = CLEARANCE_FACTOR) -> n
 
 def spectral_pair(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
     """(P, AP, spectrum): the Riesz projection and the projected operator from
-    one resolvent pass, with the oracle spectrum that cleared the contour."""
+    one resolvent pass, with the Schur spectrum that cleared the contour."""
     (p, ap), spec = _integrate_rdt(a, contour, [lambda z: 1.0, lambda z: z], clearance_factor)
     return p, ap, spec
 
@@ -514,21 +388,23 @@ def enclosed_eigenvalue(tr_p, tr_ap, trace_tol: float = 0.01) -> complex:
     return complex(tr_ap)
 
 
-def _enclosed_traces(h, rule: QuadratureRule) -> list[complex]:
-    """(Tr P, Tr AP) over the contour from the trace engine on an
-    upper-Hessenberg (or triangular) H."""
-    sums = hessenberg_trace_sum(h, rule, [lambda z: 1.0, lambda z: z])
+def _enclosed_traces(t, rule: QuadratureRule) -> list[complex]:
+    """(Tr P, Tr AP) over the contour from the trace engine on a Schur form T."""
+    sums = schur_trace_sum(t, rule, [lambda z: 1.0, lambda z: z])
     return [-s / (2j * math.pi) for s in sums]
 
 
 def extract_eigenvalue(a, contour, trace_tol: float = 0.01,
                        clearance_factor: float = CLEARANCE_FACTOR) -> complex:
     """Isolated nondegenerate eigenvalue enclosed by the contour (see
-    :func:`enclosed_eigenvalue`), from Tr P and Tr AP alone: one Hessenberg
-    reduction and :func:`hessenberg_trace_sum`, no resolvent formed."""
-    a, rule, _ = _cleared(a, contour, clearance_factor)
-    h = sla.hessenberg(a, check_finite=False)
-    return enclosed_eigenvalue(*_enclosed_traces(h, rule), trace_tol)
+    :func:`enclosed_eigenvalue`), from Tr P and Tr AP alone: one Schur form
+    T (:func:`numcore.schur_oracle`), whose diagonal also clears the contour,
+    and :func:`schur_trace_sum` on it, no resolvent formed."""
+    a = as_matrix(a)
+    t, _, spec = schur_oracle(a)
+    rule = contour.rule()
+    _check_clearance(rule, spec, clearance_factor)
+    return enclosed_eigenvalue(*_enclosed_traces(t, rule), trace_tol)
 
 
 def _default_probes(n: int) -> np.ndarray:
@@ -541,15 +417,8 @@ def _shifted_triangular_solves(t, z, b, c, first: int = 0):
     """(X, Y) with columns (T - z_j I)^-1 b and (T - z_j I)^-T c for an
     upper-triangular T: one back and one forward substitution, each row a
     vector over the shifts, O(n^2) per shift.  A pivot t_ii - z_j that is
-    zero or not finite raises SingularMatrixError naming node ``first + j``,
-    z_j and the pivot."""
-    piv = np.diagonal(t)[:, None] - z
-    bad = np.argwhere(~(np.isfinite(piv) & (piv != 0)).T)
-    if bad.size:
-        j, i = bad[0]
-        raise SingularMatrixError(
-            f"node {first + j} (zeta = {complex(z[j]):.6g}) has Schur pivot {i} = "
-            f"{complex(piv[i, j]):.3e}: the node is on the spectrum")
+    zero or not finite raises SingularMatrixError (:func:`_schur_pivots`)."""
+    piv = _schur_pivots(t, z, first)
     tc = np.ascontiguousarray(t.T)  # row i holds column i of T
     x, y = np.empty_like(piv), np.empty_like(piv)
     for i in range(len(t) - 1, -1, -1):
@@ -588,7 +457,7 @@ def enclosed_pair(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
     distinct matrix serves the pass (Trefethen, Acta Numerica 8, 1999):
     diag(T) clears the contour, the probe sums take one back and one forward
     substitution on T - zeta_j per node (:func:`_triangular_probe_sums`), and
-    Tr P, Tr AP come from the trace engine on T.  At n = 256 and 128 nodes
+    Tr P, Tr AP come from :func:`schur_trace_sum` on T.  At n = 256 and 128 nodes
     (one BLAS thread) a pass takes ~0.1 s, ~80% of it the Schur
     decomposition, and ~0.01 s when it is the same A as the last
     decomposition :func:`numcore.schur_oracle` made.
@@ -686,7 +555,7 @@ def low_energy_hamiltonian(a, boundary: RightBoundary,
     clearance check, so it passes at any Gauss order.
     """
     a = as_matrix(a)
-    spec = eigvals_oracle(a)
+    spec = schur_oracle(a)[2]  # the resolvent pass below reuses the decomposition
     gamma = float(boundary.abscissa)
     scale = max(1.0, float(np.abs(spec).max()) if spec.size else 1.0)
     if spec.size and np.abs(spec.real - gamma).min() < line_tol * scale:

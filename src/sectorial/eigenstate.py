@@ -3,9 +3,10 @@ derivative/density evaluation for isolated nondegenerate eigenvalues.
 
 Tracking, Hellmann-Feynman derivatives and densities need only the rank-one
 pair phi, eta and E = Tr AP of an enclosed eigenvalue, never the n x n
-projection: they take it from :func:`sectorial.contour.enclosed_pair`, one
-Schur decomposition per distinct matrix and two O(n^2) triangular probe
-solves per node, whose residual checks stand in for the idempotency and
+projection: they take it from :func:`sectorial.contour.enclosed_pair`, in
+the same Schur basis as every other contour quantity: one Schur
+decomposition per distinct matrix and two O(n^2) triangular probe solves
+per node, whose residual checks stand in for the idempotency and
 singular-value rank tests :func:`rank_one_decompose` applies to a full
 projection.
 """

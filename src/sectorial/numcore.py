@@ -2,7 +2,10 @@
 
 Everything downstream (contour calculus, semigroups, tracking) is validated
 against the three oracles here: LAPACK eigendecomposition, scaling-and-squaring
-matrix exponential, and SVD-based Schatten norms.  Dense storage only; the
+matrix exponential, and SVD-based Schatten norms.  The contour calculus itself
+computes in the complex Schur basis of :func:`schur_oracle` (LAPACK
+``zgees``), so its results are checked against an independent ``zgeev``
+(:func:`eigvals_oracle`, :func:`eig_oracle`).  Dense storage only; the
 intended scale is dimensions up to ~2048.
 """
 
@@ -150,8 +153,11 @@ def eig_oracle(a) -> SpectralData:
 
 
 def eigvals_oracle(a) -> np.ndarray:
-    """Eigenvalues only (same sort as :func:`eig_oracle`), for callers that
-    validate geometry and do not need vectors."""
+    """Eigenvalues only (same sort as :func:`eig_oracle`), from LAPACK
+    ``zgeev``: an oracle independent of the Schur form every contour
+    quantity is computed in, used by tests, benchmark checks,
+    :func:`contour.enclosed_count` and the CLI's default circles and
+    holomorphy base point."""
     a = as_matrix(a)
     try:
         w = sla.eigvals(a, check_finite=False)
@@ -177,8 +183,9 @@ def drop_schur_memo() -> None:
 
 def schur_oracle(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(T, Z, spectrum): the complex Schur form A = Z T Z* (T upper
-    triangular, Z unitary) and diag(T) sorted like :func:`eigvals_oracle`,
-    for callers that clear a contour and then solve in the Schur basis.
+    triangular, Z unitary) and diag(T) sorted like :func:`eigvals_oracle`:
+    the basis every contour quantity is computed in, and the spectrum its
+    contour is cleared against.
 
     One decomposition per distinct matrix: the last one is kept, with a copy
     of its A, and a call on an A of the same shape and raw bits returns it

@@ -352,23 +352,18 @@ def config_family(grid: Grid, space: ManyBodySpace, base: FieldConfig, direction
     """
     directions = list(directions)
 
-    def at(p):
-        cfg = base
+    def at(cfg, p):
         for coeff, direction in zip(np.asarray(p).ravel(), directions):
             if coeff != 0:
                 cfg = cfg + complex(coeff) * direction
         return cfg
 
     def fam(p):
-        return family(grid, space, at(p))
+        return family(grid, space, at(base, p))
 
     def dfam(p, w):
-        cfg = at(p)
-        total = np.zeros((space.dim, space.dim), dtype=complex)
-        for coeff, direction in zip(np.asarray(w).ravel(), directions):
-            if coeff != 0:
-                total = total + complex(coeff) * family_derivative(grid, space, cfg, direction)
-        return total
+        # linear in the direction: one derivative along sum_i w_i dir_i
+        return family_derivative(grid, space, at(base, p), at(FieldConfig.zero(grid), w))
 
     return fam, dfam
 

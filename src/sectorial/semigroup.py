@@ -8,9 +8,9 @@ holds Num T (Weideman & Trefethen, Math. Comp. 76, 2007; Lopez-Fernandez &
 Palencia, Appl. Numer. Math. 51, 2004): tens of nodes, a count fixed by the
 angular room pi/2 - half_angle - |arg beta| alone.  :func:`emap` and
 everything built on the full matrix e^{-beta T} go through the resolvent
-engine; :func:`free_energy_path`, which needs only Z = Tr e^{-beta T},
-reduces T to Hessenberg form once per path and takes each Z from resolvent
-traces on the same hyperbola.  Each checks its precondition Num T inside
+engine; :func:`free_energy_path`, which needs only Z = Tr e^{-beta T}, takes
+the Schur form of T once per path and each Z from resolvent traces on the
+same hyperbola.  Each checks its precondition Num T inside
 the sector once, exactly, through :meth:`Sector.require_range` (three top
 eigenvalues).  The Duhamel term is the upper-right block of
 e^{-beta [[H, T], [0, H]]} (Van Loan, IEEE Trans. Automat. Control 23, 1978):
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .contour import QuadratureRule, hessenberg_trace_sum, resolvent_sums
+from .contour import QuadratureRule, resolvent_sums, schur_trace_sum
 from .errors import (
     H0NotCoerciveError,
     NotSectorialForBetaError,
@@ -34,7 +34,7 @@ from .errors import (
     ZeroPartitionFunctionError,
 )
 from .forms import Sector, hermitian_split, numerical_range, fit_sector
-from .numcore import as_matrix, solve
+from .numcore import as_matrix, schur_oracle, solve
 
 VERTEX_SETBACK = 0.5
 TAIL_CUTOFF = 1e-14
@@ -160,17 +160,18 @@ def free_energy_path(betas, t, sector: Sector, z_floor_factor: float = 1e-12):
     continuous path the argument of Z is unwrapped instead so F cannot jump
     across the cut.  Every beta is checked admissible, then Num T inside the
     sector once for the whole path, exactly, by :meth:`Sector.require_range`.
-    Z = Tr e^{-beta T} is the trace of the
-    integral :func:`emap` takes, on the same hyperbola, from one
-    Hessenberg reduction of T and :func:`hessenberg_trace_sum`; no n x n
-    resolvent or e^{-beta T} is formed.  Returns (Z array, F array).
+    Z = Tr e^{-beta T} is the trace of the integral :func:`emap` takes, on
+    the same hyperbola, from the triangular factor of one Schur
+    decomposition of T (:func:`numcore.schur_oracle`) and
+    :func:`schur_trace_sum`; no n x n resolvent or e^{-beta T} is formed.
+    Returns (Z array, F array).
     """
     t = as_matrix(t)
     betas = [complex(b) for b in betas]
     rules = [_wedge_rule(b, sector) for b in betas]
     sector.require_range(t)
-    h = sla.hessenberg(t)
-    zs = np.array([hessenberg_trace_sum(h, rule, [lambda z: cmath.exp(-b * z)])[0] / (2j * math.pi)
+    s = schur_oracle(t)[0]
+    zs = np.array([schur_trace_sum(s, rule, [lambda z: cmath.exp(-b * z)])[0] / (2j * math.pi)
                    for b, rule in zip(betas, rules)])
     floor = z_floor_factor * t.shape[0]
     if np.abs(zs).min() <= floor:

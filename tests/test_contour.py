@@ -19,12 +19,13 @@ from sectorial.contour import (
     enclosed_count,
     enclosed_pair,
     extract_eigenvalue,
-    hessenberg_trace_sum,
     low_energy_hamiltonian,
     projected_operator,
     rank_of_projection,
     rdt_function,
     riesz_projection,
+    schur_trace_sum,
+    spectral_pair,
 )
 from sectorial.errors import (
     ContourThroughSpectrumError,
@@ -316,19 +317,19 @@ def test_enclosed_count(rng):
 
 # -- the streaming engine -------------------------------------------------------
 
-def node_resolvent(h, z):
-    """R(z, H) from the engine's per-node step on a one-node rule."""
-    (r,) = contour._resolvent_nodes(h, QuadratureRule(np.array([complex(z)]),
+def node_resolvent(t, z):
+    """R(z, T) from the engine's per-node step on a one-node rule."""
+    (r,) = contour._resolvent_nodes(t, QuadratureRule(np.array([complex(z)]),
                                                       np.array([1.0 + 0j]), closed=False))
     return r
 
 
 def reference_sums(a, rule, funcs):
-    """Hessenberg form A = Q H Q*, the per-node resolvent of H one node at a
-    time, pairwise_sum over every weighted term, then Q S Q*: the definition
+    """Schur form A = Z T Z*, the per-node resolvent of T one node at a
+    time, pairwise_sum over every weighted term, then Z S Z*: the definition
     the chunked, streaming engine must reproduce bit for bit."""
-    h, q = sla.hessenberg(a, calc_q=True)
-    res = [node_resolvent(h, z) for z in rule.nodes]
+    t, q, _ = numcore.schur_oracle(a)
+    res = [node_resolvent(t, z) for z in rule.nodes]
     return [q @ numcore.pairwise_sum([w * f(z) * r for z, w, r in zip(rule.nodes, rule.weights, res)])
             @ q.conj().T for f in funcs]
 
@@ -406,17 +407,12 @@ def test_track_step_is_one_pass_and_one_oracle(monkeypatch):
     fam = lambda s: np.diag([0.1 * s, 1.0, 2.0]).astype(complex)
     schurs = count_calls(monkeypatch, numcore.schur_oracle)
     lapack_schurs = count_lapack_schur(monkeypatch)
-    factors = count_calls(monkeypatch, contour._hessenberg_lu)
     resolvents = count_calls(monkeypatch, contour._resolvent_nodes)
     oracles = count_calls(monkeypatch, numcore.eigvals_oracle)
-    reductions = []
-    hessenberg = sla.hessenberg
-    monkeypatch.setattr(contour.sla, "hessenberg",
-                        lambda *args, **kw: reductions.append(args) or hessenberg(*args, **kw))
     steps = 3
     eigenstate.track_eigenvalue(fam, [0.0, 0.5, 1.0], Circle(0.0, 0.3, 128))
     assert len(schurs) == len(lapack_schurs) == steps
-    assert not factors and not resolvents and not oracles and not reductions
+    assert not resolvents and not oracles
 
 
 def lattice_ramp_end(grid, space, base, dirs, x_end, w):
@@ -472,8 +468,7 @@ def test_engine_matches_dense_solve_reference(rng):
     q = np.linalg.qr(rand_complex(rng, 12))[0]
     deflated = np.triu(rand_complex(rng, 10), -1)
     deflated[5, 4] = 0.0
-    # subdiagonal 10 against entries ~0.1: rows swap at every step for
-    # every node of the radius-5 circle (asserted below)
+    # subdiagonal 10 against entries ~0.1: strongly non-normal
     swapping = np.triu(0.1 * rand_complex(rng, 10))
     swapping[np.arange(1, 10), np.arange(9)] = 10.0
     nonnormal = np.diag(np.arange(8.0)) + 3.0 * np.triu(rand_complex(rng, 8), 1)
@@ -490,13 +485,6 @@ def test_engine_matches_dense_solve_reference(rng):
     funcs = [lambda z: 1.0, lambda z: z]
     for name, (a, c) in cases.items():
         rule = c.rule()
-        # the O(n^2) LU swaps rows exactly where LAPACK's GEPP does
-        h = sla.hessenberg(a)
-        _, _, swap = contour._hessenberg_lu(h, rule.nodes)
-        n = a.shape[0]
-        gepp = [sla.lu_factor(h - z * np.eye(n))[1][:-1] == np.arange(1, n) for z in rule.nodes]
-        assert np.array_equal(swap, np.array(gepp).reshape(swap.shape)), name
-        assert swap.all() or name != "pivot swap at every step"
         for got, ref in zip(contour.resolvent_sums(a, rule, funcs), dense_reference_sums(a, rule, funcs)):
             assert np.linalg.norm(ref) > 1.0, name
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
@@ -513,10 +501,7 @@ def test_engine_node_on_eigenvalue_raises_singular():
 def test_engine_reduces_once_per_call(rng, monkeypatch):
     t = rand_sectorial(rng, 6)
     sec = fit_sector(numerical_range(t, 64), margin=0.05)
-    calls = []
-    hessenberg = sla.hessenberg
-    monkeypatch.setattr(contour.sla, "hessenberg",
-                        lambda *args, **kw: calls.append(args) or hessenberg(*args, **kw))
+    calls = count_lapack_schur(monkeypatch)
     semigroup.emap(0.8, t, sec, check_range=False)
     assert len(calls) == 1
 
@@ -543,13 +528,13 @@ def dense_trace(t, z):
     return np.trace(np.linalg.solve(t - z * np.eye(n), np.eye(n)))
 
 
-def node_trace(h, z):
-    """Tr R(z, H) from the trace engine on a one-node, unit-weight rule."""
+def node_trace(t, z):
+    """Tr R(z, T) from the trace engine on a one-node, unit-weight rule."""
     rule = QuadratureRule(np.array([complex(z)]), np.array([1.0 + 0j]), closed=False)
-    return hessenberg_trace_sum(h, rule, [lambda _: 1.0])[0]
+    return schur_trace_sum(t, rule, [lambda _: 1.0])[0]
 
 
-def test_hyman_traces_match_dense_trace(rng):
+def test_schur_traces_match_dense_trace(rng):
     ring = 2.0 + 1.5 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False))
     shifts = np.array([3.1 + 0.5j, -0.5 - 0.7j, 1.2 + 2.0j, 0.3 - 0.2j])
     blocks = np.triu(rand_complex(rng, 16), -1)
@@ -557,7 +542,7 @@ def test_hyman_traces_match_dense_trace(rng):
     jordan = 2.0 * np.eye(40) + np.diag(np.ones(39), 1)
     jordan[-1, 0] = 1e-10
     q = np.linalg.qr(rand_complex(rng, 40))[0]
-    # x grows like 1e9 per row here: overflows unless rescaled
+    # subdiagonal 1e-9 against entries ~1: strongly graded and non-normal
     graded = np.triu(rand_complex(rng, 80))
     graded[np.arange(1, 80), np.arange(79)] = 1e-9
     cases = {
@@ -569,16 +554,16 @@ def test_hyman_traces_match_dense_trace(rng):
         "tiny subdiagonal": (graded, np.array([6.0 + 6.0j, -6.0 - 2.0j, 0.5 + 7.0j])),
     }
     for name, (t, zs) in cases.items():
-        h = sla.hessenberg(t)
+        h = numcore.schur_oracle(t)[0]
         for z in zs:
             ref = dense_trace(t, z)
             assert abs(node_trace(h, z) - ref) <= 1e-12 * abs(ref), f"{name} at {z}"
 
 
-def test_hyman_traces_on_sector_nodes_dim256(rng):
+def test_schur_traces_on_sector_nodes_dim256(rng):
     t = rand_sectorial(rng, 256)
     rule = semigroup._wedge_rule(1.0, fit_sector(numerical_range(t, 64), margin=0.05))
-    h = sla.hessenberg(t)
+    h = numcore.schur_oracle(t)[0]
     for z in rule.nodes[::4]:
         ref = dense_trace(t, z)
         assert abs(node_trace(h, z) - ref) <= 1e-12 * abs(ref), f"node {z}"
@@ -591,18 +576,44 @@ def test_trace_sum_chunks_in_node_order(rng):
     beta = 0.5 * cmath.exp(0.9j * (math.pi / 2 - sec.half_angle))
     rule = semigroup._wedge_rule(beta, sec)
     assert len(rule.nodes) > 2 * TRACE_CHUNK_NODES
-    h = sla.hessenberg(t)
+    h = numcore.schur_oracle(t)[0]
     f = lambda z: cmath.exp(-beta * z)
     terms = [w * f(z) * node_trace(h, z) for z, w in zip(rule.nodes, rule.weights)]
     ref = numcore.pairwise_sum(terms)
-    assert abs(hessenberg_trace_sum(h, rule, [f])[0] - ref) <= 1e-12 * abs(ref)
+    assert abs(schur_trace_sum(h, rule, [f])[0] - ref) <= 1e-12 * abs(ref)
 
 
 def test_trace_engine_rejects_node_on_eigenvalue():
     h = np.diag([0.0, 1.0]).astype(complex)
     rule = QuadratureRule(np.array([2.0, 1.0 + 0j]), np.ones(2, dtype=complex), closed=False)
     with pytest.raises(SpectrumHitError, match="node 1"):
-        hessenberg_trace_sum(h, rule, [lambda z: 1.0])
+        schur_trace_sum(h, rule, [lambda z: 1.0])
+
+
+def test_trace_engine_rejects_a_matrix_that_is_not_triangular():
+    rule = QuadratureRule(np.array([2.0 + 0j]), np.ones(1, dtype=complex), closed=False)
+    with pytest.raises(ValueError, match="upper-triangular"):
+        schur_trace_sum(np.array([[0.0, 1.0], [1e-300, 0.0]]), rule, [lambda z: 1.0])
+
+
+@pytest.mark.parametrize("quantity", ["riesz", "spectral_pair", "low_energy"])
+def test_full_matrix_pass_is_one_schur_decomposition(quantity, rng, monkeypatch):
+    t = rand_sectorial(rng, 12, angle=0.2, lo=0.5, hi=6.0)
+    spec = numcore.eigvals_oracle(t)
+    circle = Circle(complex(spec[0]), 0.4 * abs(spec[1] - spec[0]), 64)
+    right = RightBoundary(abscissa=0.5 * float(spec[5].real + spec[6].real),
+                          sector=fit_sector(numerical_range(t, 64), margin=0.05))
+    run = {"riesz": lambda: riesz_projection(t, circle),
+           "spectral_pair": lambda: spectral_pair(t, circle),
+           "low_energy": lambda: low_energy_hamiltonian(t, right)}[quantity]
+    schurs = count_lapack_schur(monkeypatch)
+    oracles = count_calls(monkeypatch, numcore.eigvals_oracle)
+    reductions = []
+    hessenberg = sla.hessenberg
+    monkeypatch.setattr(sla, "hessenberg",
+                        lambda *args, **kw: reductions.append(args) or hessenberg(*args, **kw))
+    run()
+    assert len(schurs) == 1 and not oracles and not reductions
 
 
 def test_chunk_nodes_bound_the_chunk_bytes():
