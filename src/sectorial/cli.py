@@ -228,8 +228,9 @@ def run_riesz(cfg, outdir: Path, tol: dict, seed: int) -> dict:
 
 def _lattice_circle(matrix) -> Circle:
     """Default 64-node circle round the lowest eigenvalue, of radius
-    RADIUS_GAP_FACTOR times the gap to the next one."""
-    spec = numcore.eigvals_oracle(matrix)
+    RADIUS_GAP_FACTOR times the gap to the next one, from the Schur spectrum,
+    so the first contour pass on the matrix reuses its decomposition."""
+    spec = numcore.schur_oracle(matrix)[2]
     gap = abs(spec[1] - spec[0]) if len(spec) > 1 else 1.0
     return Circle(center=complex(spec[0]), radius=eigenstate.RADIUS_GAP_FACTOR * gap, nodes=64)
 

@@ -6,24 +6,26 @@ truncation across a vertical splitting line.
 Circles use the trapezoid rule (exponentially convergent for analytic
 integrands); straight segments use composite Gauss-Legendre panels.  The
 hyperbolic rules for e^{-beta T} are built in :mod:`semigroup`.  Every
-contour quantity is computed in one basis, the complex Schur form
-A = Z T Z* of :func:`numcore.schur_oracle`, taken once per distinct matrix
-(it keeps the last one), whose diagonal also clears the contour; resolvents
-at many shifts from one Schur form follow Trefethen (Acta Numerica 8, 1999).
-Full-matrix quantities go through one engine, :func:`resolvent_sums`: one
-triangular inverse of T - zeta_j per node (~n^3/6 multiply-adds), the
-weighted terms folded in a fixed pairwise order and each sum conjugated by Z
-once at the end.  Nodes are solved in chunks of at most CHUNK_NODES nodes and
-CHUNK_BYTES of resolvents, so results do not depend on evaluation
-scheduling and memory grows with neither the node count nor, past
-n = 1024, the chunk.  Quantities that need less than a full matrix never
-form a resolvent.  Traces of the resolvent come from
-:func:`schur_trace_sum`, sum_i 1/(t_ii - zeta) per node, summed in the same
-fixed order; :func:`extract_eigenvalue` takes Tr P and Tr AP from it.  The
-rank-one pair phi, eta of an isolated eigenvalue comes from
-:func:`enclosed_pair`: one back and one forward substitution on T - zeta_j
-per node, O(n^2) (~0.1 s a pass at n = 256 and 128 nodes, one BLAS thread,
-mostly Schur; ~0.01 s when the pass reuses the decomposition).
+contour quantity is computed in one basis, the Schur form A = Z T Z* of
+:func:`numcore.schur_oracle` (diagonal, from ``eigh``, for exactly hermitian
+input), taken once per distinct matrix (it keeps the last one), whose
+diagonal also clears the contour; resolvents at many shifts from one Schur
+form follow Trefethen (Acta Numerica 8, 1999).  Full-matrix quantities go
+through one engine, :func:`resolvent_sums`: one triangular inverse of
+T - zeta_j per node (~n^3/6 multiply-adds), or for a diagonal T the vector
+of 1/(t_ii - zeta_j) and no resolvent, the weighted terms folded in a fixed
+pairwise order and each sum conjugated by Z once at the end.  Nodes are
+solved in chunks of at most CHUNK_NODES nodes and CHUNK_BYTES of
+resolvents, so results do not depend on evaluation scheduling and memory
+grows with neither the node count nor, past n = 1024, the chunk.
+Quantities that need less than a full matrix never form a resolvent.
+Traces of the resolvent come from :func:`schur_trace_sum`,
+sum_i 1/(t_ii - zeta) per node, summed in the same fixed order;
+:func:`extract_eigenvalue` takes Tr P and Tr AP from it.  The rank-one pair
+phi, eta of an isolated eigenvalue comes from :func:`enclosed_pair`: one
+back and one forward substitution on T - zeta_j per node, O(n^2) (~0.1 s a
+pass at n = 256 and 128 nodes, one BLAS thread, mostly Schur; ~0.01 s when
+the pass reuses the decomposition).
 """
 
 from __future__ import annotations
@@ -244,28 +246,40 @@ def resolvent_sums(a: np.ndarray, rule: QuadratureRule, funcs) -> list:
     """sum_j w_j f(zeta_j) R(zeta_j, A) over the nodes of ``rule``, for each f.
 
     The one quadrature engine behind every contour quantity.  A = Z T Z* in
-    complex Schur form (:func:`numcore.schur_oracle`, which returns the
-    decomposition a clearance check on the same A just made), so each node
-    costs one triangular inverse (:func:`_resolvent_nodes`); a node on a
-    Schur pivot raises SingularMatrixError naming the node.  Nodes are
-    solved :func:`_chunk_nodes` at a time (CHUNK_NODES up to n = 1024, then
-    CHUNK_BYTES of resolvents) and each weighted term is folded at once into
-    a :class:`PairwiseAccumulator` per f, so memory is
-    O(CHUNK_BYTES + len(funcs) * log2 m * n^2) whatever the node count m, and
-    every sum equals ``pairwise_sum`` over the m terms bit for bit.  Z
-    commutes with the node sum: each total S becomes Z S Z* once, at the end.
+    Schur form (:func:`numcore.schur_oracle`, which returns the
+    decomposition a clearance check on the same A just made; diagonal, from
+    ``eigh``, for exactly hermitian A); a node on a Schur pivot raises
+    SingularMatrixError naming the node.  Each weighted term is folded at
+    once into a :class:`PairwiseAccumulator` per f, so every sum equals
+    ``pairwise_sum`` over the m terms bit for bit, and Z commutes with the
+    node sum: each total S becomes Z S Z* once, at the end.
+
+    A triangular T costs one triangular inverse per node
+    (:func:`_resolvent_nodes`), solved :func:`_chunk_nodes` at a time
+    (CHUNK_NODES up to n = 1024, then CHUNK_BYTES of resolvents), so memory
+    is O(CHUNK_BYTES + len(funcs) * log2 m * n^2) whatever the node count m.
+    A T with nothing above its diagonal forms no resolvent: R(zeta_j, T) is
+    diag(1/(t_ii - zeta_j)), so each term is the vector
+    w_j f(zeta_j) / (t_ii - zeta_j) of the rule's scalar filter (Higham,
+    Functions of Matrices, SIAM 2008, ch. 4), TRACE_CHUNK_NODES nodes of
+    pivots at a time, memory O(TRACE_CHUNK_NODES * n), and each sum is
+    Z diag(s) Z*.
     """
     t, z, _ = schur_oracle(a)
+    diagonal = not np.any(np.triu(t, 1))
     sums = [PairwiseAccumulator() for _ in funcs]
-    step = _chunk_nodes(t.shape[0])
+    step = TRACE_CHUNK_NODES if diagonal else _chunk_nodes(t.shape[0])
     for lo in range(0, len(rule.nodes), step):
         chunk = QuadratureRule(nodes=rule.nodes[lo:lo + step],
                                weights=rule.weights[lo:lo + step], closed=False)
-        _schur_pivots(t, chunk.nodes, lo)
-        # a helper call, so the chunk's resolvents are freed before the next solve
-        _fold_chunk(sums, funcs, chunk, _resolvent_nodes(t, chunk))
+        # helper calls, so each chunk's terms are freed before the next is formed
+        if diagonal:  # column j of 1 / pivots is the diagonal of R(zeta_j, T)
+            _fold_chunk(sums, funcs, chunk, (1.0 / _schur_pivots(t, chunk.nodes, lo)).T)
+        else:
+            _schur_pivots(t, chunk.nodes, lo)
+            _fold_chunk(sums, funcs, chunk, _resolvent_nodes(t, chunk))
     zh = z.conj().T
-    return [z @ acc.total() @ zh for acc in sums]
+    return [(z * acc.total() if diagonal else z @ acc.total()) @ zh for acc in sums]
 
 
 def schur_trace_sum(t, rule: QuadratureRule, funcs) -> list[complex]:

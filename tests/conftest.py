@@ -1,4 +1,5 @@
 import os
+import types
 
 # One BLAS thread: threaded OpenBLAS is slower on these small matrices and
 # its timings vary with the machine's load.  Must precede the numpy import.
@@ -31,12 +32,26 @@ def rand_sectorial(rng, n, angle=0.3, lo=0.5, hi=3.0):
     return h + 1j * k
 
 
-def count_lapack_schur(monkeypatch):
-    """Log of the LAPACK Schur decompositions made while the test runs."""
+def exact_hermitian(rng, n, lo=1.0, hi=4.0):
+    """:func:`rand_hermitian` made hermitian bit for bit, A == A*."""
+    h = rand_hermitian(rng, n, lo, hi)
+    return (h + h.conj().T) / 2
+
+
+def count_decompositions(monkeypatch):
+    """Log of the LAPACK decompositions :func:`numcore.schur_oracle` makes
+    while the test runs, as (kind, A) with kind "schur" (``zgees``) or
+    "eigh" (exactly hermitian A).  Only numcore's binding of scipy.linalg is
+    replaced: ``forms`` binds the same module object, and the ``eigh`` calls
+    of its numerical-range sweep are not decompositions of A."""
     calls = []
-    schur = numcore.sla.schur
-    monkeypatch.setattr(numcore.sla, "schur",
-                        lambda *args, **kw: calls.append(args) or schur(*args, **kw))
+    linalg = numcore.sla
+
+    def counted(kind):
+        fn = getattr(linalg, kind)
+        return lambda a, *args, **kw: calls.append((kind, a)) or fn(a, *args, **kw)
+    monkeypatch.setattr(numcore, "sla", types.SimpleNamespace(
+        **{**vars(linalg), "schur": counted("schur"), "eigh": counted("eigh")}))
     return calls
 
 

@@ -47,17 +47,30 @@ def test_every_benchmark_target_still_resolves(bench):
     assert absent <= GONE, sorted(absent - GONE)
 
 
-def test_resolvent_batch_keeps_the_arguments_the_tracer_reads(bench):
-    worker, tracer_mod = bench
-    assert list(inspect.signature(contour._resolvent_nodes).parameters) == ["a", "rule"]
+def traced_riesz(worker, tracer_mod, a):
+    """The tracer's counters and maxima over one riesz_projection of ``a``."""
     tracer = tracer_mod.Tracer("sectorial", worker.layer_targets())
     tracer.install()
     try:
         tracer.job = 0
-        riesz_projection(np.diag([0.0, 5.0]), Circle(0.0, 1.0, 64))
+        riesz_projection(a, Circle(0.0, 1.0, 64))
         tracer.job = -1
     finally:
         assert tracer.uninstall()
-    assert tracer.counters["contour.nodes"] == 64
-    assert tracer.counters["contour.checks.calls"] == 1
-    assert tracer.maxima["contour.batch_bytes_max"] == 16 * 32 * 2 * 2
+    return tracer.counters, tracer.maxima
+
+
+def test_resolvent_batch_keeps_the_arguments_the_tracer_reads(bench):
+    assert list(inspect.signature(contour._resolvent_nodes).parameters) == ["a", "rule"]
+    # not hermitian: the Schur form is not diagonal, so the pass solves every node
+    counters, maxima = traced_riesz(*bench, np.array([[0.0, 1.0], [0.0, 5.0]]))
+    assert counters["contour.nodes"] == 64
+    assert counters["contour.checks.calls"] == 1
+    assert maxima["contour.batch_bytes_max"] == 16 * 32 * 2 * 2
+
+
+def test_hermitian_riesz_forms_no_resolvent_batch(bench):
+    counters, maxima = traced_riesz(*bench, np.diag([0.0, 5.0]))
+    assert counters.get("contour.nodes", 0) == 0
+    assert "contour.batch_bytes_max" not in maxima
+    assert counters["contour.checks.calls"] == 1

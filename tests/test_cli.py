@@ -8,6 +8,8 @@ import pytest
 from sectorial import contour, forms, numcore, semigroup
 from sectorial.cli import main, run, write_csv
 
+from conftest import count_decompositions
+
 
 def write_cfg(tmp_path: Path, name: str, cfg: dict) -> Path:
     p = tmp_path / name
@@ -55,19 +57,29 @@ def test_riesz_matrix_json(tmp_path):
     assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_riesz_circle_is_one_resolvent_pass(tmp_path, monkeypatch):
+def riesz_circle_nodes_solved(matrix, tmp_path, monkeypatch):
+    """Nodes _resolvent_nodes solves in one CLI riesz run on a circle."""
     solved = []
     batch = contour._resolvent_nodes
     monkeypatch.setattr(contour, "_resolvent_nodes",
                         lambda a, rule: solved.append(len(rule.nodes)) or batch(a, rule))
-    mat = numcore.matrix_to_json(np.diag([0.0, 5.0]).astype(complex))
+    mat = numcore.matrix_to_json(np.array(matrix, dtype=complex))
     cfg = write_cfg(tmp_path, "c.json", {
         "subcommand": "riesz", "seed": 0, "output_dir": str(tmp_path / "out"),
         "matrix": mat,
         "contour": {"type": "circle", "center": [0.0, 0.0], "radius": 1.0, "nodes": 64},
     })
     assert run(str(cfg)) == 0
-    assert sum(solved) == 64
+    return sum(solved)
+
+
+def test_riesz_circle_is_one_resolvent_pass(tmp_path, monkeypatch):
+    # not hermitian: the Schur form is not diagonal, so the pass solves every node
+    assert riesz_circle_nodes_solved([[0.0, 1.0], [0.0, 5.0]], tmp_path, monkeypatch) == 64
+
+
+def test_hermitian_riesz_circle_forms_no_resolvent(tmp_path, monkeypatch):
+    assert riesz_circle_nodes_solved([[0.0, 0.0], [0.0, 5.0]], tmp_path, monkeypatch) == 0
 
 
 def test_riesz_right_boundary(tmp_path):
@@ -153,20 +165,32 @@ def test_track_lattice_family(tmp_path):
     assert len(rows) == 5
 
 
-def test_density_demo(tmp_path):
-    n = 6
+def density_demo(tmp_path, n):
+    """Run the density subcommand on an n-site ring with a cosine potential."""
     cfg = write_cfg(tmp_path, "c.json", {
         "subcommand": "density", "seed": 0, "output_dir": str(tmp_path / "out"),
         "grid": {"d": 1, "n": n, "delta": 0.5, "particles": 2},
         "fields": {"u0": [1.0 + math.cos(2 * math.pi * k / n) for k in range(n)]},
     })
     assert run(str(cfg)) == 0
+
+
+def test_density_demo(tmp_path):
+    n = 6
+    density_demo(tmp_path, n)
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["summary"]["charge_defect"] <= 1e-8
     header, rows = read_csv(tmp_path / "out" / "density.csv")
     assert header == ["kind", "direction", "site", "re", "im"]
     assert sum(1 for r in rows if r[0] == "rho") == n
     assert sum(1 for r in rows if r[0] == "J") == n
+
+
+def test_density_run_decomposes_its_matrix_once(tmp_path, monkeypatch):
+    # the default circle comes from the decomposition the pair pass reuses
+    calls = count_decompositions(monkeypatch)
+    density_demo(tmp_path, 6)
+    assert [kind for kind, _ in calls] == ["eigh"]
 
 
 def test_thermal_two_level_closed_form(tmp_path):

@@ -40,7 +40,8 @@ from sectorial.errors import (
 )
 from sectorial.forms import Sector, fit_sector, numerical_range
 
-from conftest import count_lapack_schur, rand_complex, rand_hermitian, rand_sectorial
+from conftest import (count_decompositions, exact_hermitian, rand_complex, rand_hermitian,
+                      rand_sectorial)
 
 
 def oracle_projector(a, inside):
@@ -406,12 +407,12 @@ def test_resolvent_batches_never_exceed_the_chunk(rng, monkeypatch):
 def test_track_step_is_one_pass_and_one_oracle(monkeypatch):
     fam = lambda s: np.diag([0.1 * s, 1.0, 2.0]).astype(complex)
     schurs = count_calls(monkeypatch, numcore.schur_oracle)
-    lapack_schurs = count_lapack_schur(monkeypatch)
+    decompositions = count_decompositions(monkeypatch)
     resolvents = count_calls(monkeypatch, contour._resolvent_nodes)
     oracles = count_calls(monkeypatch, numcore.eigvals_oracle)
     steps = 3
     eigenstate.track_eigenvalue(fam, [0.0, 0.5, 1.0], Circle(0.0, 0.3, 128))
-    assert len(schurs) == len(lapack_schurs) == steps
+    assert len(schurs) == len(decompositions) == steps
     assert not resolvents and not oracles
 
 
@@ -445,17 +446,18 @@ def test_lattice_ramp_end_is_decomposed_once(rng, monkeypatch):
     x_end = 0.05 * rng.standard_normal(len(dirs)) * (1.0 + 0.3j)
     w = rng.standard_normal(len(dirs))
     with monkeypatch.context() as patch:
-        calls = count_lapack_schur(patch)
+        calls = count_decompositions(patch)
         shared = lattice_ramp_end(grid, space, base, dirs, x_end, w)
-    # three ramp steps; Hellmann-Feynman and the density reuse the last one
-    assert len(calls) == 3
+    # three ramp steps, the first at real fields (hermitian); Hellmann-Feynman
+    # and the density reuse the last one
+    assert [kind for kind, _ in calls] == ["eigh", "schur", "schur"]
     oracle = numcore.schur_oracle
 
     def fresh(a):
         numcore.drop_schur_memo()
         return oracle(a)
     monkeypatch.setattr(contour, "schur_oracle", fresh)
-    calls = count_lapack_schur(monkeypatch)
+    calls = count_decompositions(monkeypatch)
     alone = lattice_ramp_end(grid, space, base, dirs, x_end, w)
     assert len(calls) == 5
     for got, ref in zip(shared, alone):
@@ -491,17 +493,73 @@ def test_engine_matches_dense_solve_reference(rng):
 
 
 def test_engine_node_on_eigenvalue_raises_singular():
-    a = np.diag([0.0, 1.0, 3.0]).astype(complex)
     rule = QuadratureRule(np.array([2.0, 1.0 + 0j]), np.ones(2, dtype=complex), closed=False)
-    with pytest.raises(SingularMatrixError, match="pivot") as err:
+    # hermitian (a diagonal Schur form) and not (a triangular one)
+    for a in (np.diag([0.0, 1.0, 3.0]), np.diag([0.0, 1.0, 3.0]) + np.diag([0.0, 1.0], 1)):
+        with pytest.raises(SingularMatrixError, match="pivot") as err:
+            contour.resolvent_sums(a.astype(complex), rule, [lambda z: 1.0])
+        assert "node 1 (zeta = 1+0j)" in str(err.value)
+
+
+def test_diagonal_sums_are_pairwise_sum_bit_for_bit(rng, monkeypatch):
+    a = exact_hermitian(rng, 12)
+    t, q, _ = numcore.schur_oracle(a)
+    lam = np.diagonal(t)
+    assert np.array_equal(t, np.diag(lam))
+    resolvents = count_calls(monkeypatch, contour._resolvent_nodes)
+    rule = Circle(2.5, 1.0, 2 * TRACE_CHUNK_NODES + 88).rule()  # three chunks, the last short
+    funcs = [lambda z: 1.0, lambda z: z, lambda z: cmath.exp(-0.7 * z)]
+    got = contour.resolvent_sums(a, rule, funcs)
+    assert not resolvents
+    for f, s in zip(funcs, got):
+        diag_sum = numcore.pairwise_sum([w * f(z) * (1.0 / (lam - z))
+                                         for z, w in zip(rule.nodes, rule.weights)])
+        assert same_bits(s, (q * diag_sum) @ q.conj().T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 256])
+def test_hermitian_contour_quantities_match_their_oracles(n, rng):
+    # acceptance tolerances: criterion 03 (P, eigenvalue) and 05 (e^{-beta A})
+    a = exact_hermitian(rng, n, lo=0.5, hi=3.0)
+    data = numcore.eig_oracle(a)
+    spec, v = data.eigenvalues, data.right_eigenvectors[:, 0]
+    gap = abs(spec[1] - spec[0]) if n > 1 else 1.0
+    c = Circle(complex(spec[0]), 0.4 * gap, 128)
+    p = riesz_projection(a, c)
+    assert np.linalg.norm(p - np.outer(v, v.conj()), 2) <= 1e-8
+    assert np.linalg.norm(p @ p - p, 2) <= 1e-8
+    assert rank_of_projection(p) == 1
+    assert abs(extract_eigenvalue(a, c) - spec[0]) <= 1e-8
+    beta = 0.9 * cmath.exp(0.4j)
+    e = semigroup.emap(beta, a, Sector(vertex=0.0, half_angle=0.1))
+    oracle = numcore.expm_oracle(-beta * a)
+    assert np.linalg.norm(e - oracle, 2) <= 1e-6 * np.linalg.norm(oracle, 2)
+
+
+def diagonal_pass_peak(a, rule):
+    """Peak traced bytes of one resolvent_sums pass on a kept diagonal
+    Schur form, after a warm-up pass on the same A and rule."""
+    contour.resolvent_sums(a, rule, [lambda z: 1.0])
+    tracemalloc.start()
+    try:
         contour.resolvent_sums(a, rule, [lambda z: 1.0])
-    assert "node 1 (zeta = 1+0j)" in str(err.value)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_diagonal_pass_memory_does_not_grow_with_the_node_count(rng):
+    a = exact_hermitian(rng, 128)
+    peaks = {m: diagonal_pass_peak(a, Circle(2.5, 1.0, m).rule())
+             for m in (TRACE_CHUNK_NODES, 16 * TRACE_CHUNK_NODES)}
+    # one block of TRACE_CHUNK_NODES pivots at a time; only log2 m partial sums add up
+    assert peaks[16 * TRACE_CHUNK_NODES] <= 1.05 * peaks[TRACE_CHUNK_NODES]
 
 
 def test_engine_reduces_once_per_call(rng, monkeypatch):
     t = rand_sectorial(rng, 6)
     sec = fit_sector(numerical_range(t, 64), margin=0.05)
-    calls = count_lapack_schur(monkeypatch)
+    calls = count_decompositions(monkeypatch)
     semigroup.emap(0.8, t, sec, check_range=False)
     assert len(calls) == 1
 
@@ -606,7 +664,7 @@ def test_full_matrix_pass_is_one_schur_decomposition(quantity, rng, monkeypatch)
     run = {"riesz": lambda: riesz_projection(t, circle),
            "spectral_pair": lambda: spectral_pair(t, circle),
            "low_energy": lambda: low_energy_hamiltonian(t, right)}[quantity]
-    schurs = count_lapack_schur(monkeypatch)
+    schurs = count_decompositions(monkeypatch)
     oracles = count_calls(monkeypatch, numcore.eigvals_oracle)
     reductions = []
     hessenberg = sla.hessenberg

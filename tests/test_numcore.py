@@ -6,7 +6,7 @@ import pytest
 from sectorial import numcore
 from sectorial.errors import InvalidPError, NoConvergenceError, OverflowError_, SingularMatrixError
 
-from conftest import count_lapack_schur, rand_complex, rand_hermitian
+from conftest import count_decompositions, exact_hermitian, rand_complex, rand_hermitian
 
 
 def test_solve_identity():
@@ -83,18 +83,47 @@ def test_schur_oracle_factors_and_sorts_like_eigvals(rng):
         assert np.abs(spec - numcore.eigvals_oracle(a)).max() <= 1e-12 * np.linalg.norm(a)
 
 
-def test_schur_oracle_maps_lapack_failure_to_no_convergence(monkeypatch):
+def test_schur_oracle_takes_eigh_for_exactly_hermitian_input(rng, monkeypatch):
+    calls = count_decompositions(monkeypatch)
+    for n in (1, 2, 12, 100):
+        a = exact_hermitian(rng, n)
+        t, z, spec = numcore.schur_oracle(a)
+        assert np.array_equal(t, np.diag(np.diagonal(t)))
+        assert np.linalg.norm(z.conj().T @ z - np.eye(n), 2) <= 1e-13
+        assert np.linalg.norm(z @ t @ z.conj().T - a) <= 1e-13 * np.linalg.norm(a)
+        assert sorted(spec.tolist(), key=lambda w: (w.real, w.imag)) == spec.tolist()
+        assert np.abs(spec - numcore.eigvals_oracle(a)).max() <= 1e-12 * np.linalg.norm(a)
+        assert [kind for kind, _ in calls] == ["eigh"]
+        if n > 1:
+            # one ulp of asymmetry: not hermitian, so the general Schur form
+            b = a.copy()
+            b[0, 1] = complex(np.nextafter(b[0, 1].real, np.inf), b[0, 1].imag)
+            t, z, _ = numcore.schur_oracle(b)
+            assert [kind for kind, _ in calls] == ["eigh", "schur"]
+            assert np.linalg.norm(z @ t @ z.conj().T - b) <= 1e-13 * np.linalg.norm(b)
+        calls.clear()
+
+
+def lapack_fails(monkeypatch, driver, a):
     def boom(*args, **kw):
         raise numcore.sla.LinAlgError("Schur form not found")
-    monkeypatch.setattr(numcore.sla, "schur", boom)
+    monkeypatch.setattr(numcore.sla, driver, boom)
     with pytest.raises(NoConvergenceError, match="Schur form not found"):
-        numcore.schur_oracle(np.eye(3))
+        numcore.schur_oracle(a)
+
+
+def test_schur_oracle_maps_lapack_failure_to_no_convergence(monkeypatch):
+    lapack_fails(monkeypatch, "schur", np.triu(np.ones((3, 3))))
+
+
+def test_schur_oracle_maps_eigh_failure_to_no_convergence(monkeypatch):
+    lapack_fails(monkeypatch, "eigh", np.eye(3))
 
 
 def test_schur_oracle_hit_returns_the_kept_read_only_factors(rng, monkeypatch):
     a = rand_complex(rng, 12)
     first = numcore.schur_oracle(a)
-    calls = count_lapack_schur(monkeypatch)
+    calls = count_decompositions(monkeypatch)
     # another array with the same bits, in Fortran order, is the same input
     again = numcore.schur_oracle(np.asfortranarray(a.copy()))
     assert not calls
@@ -108,7 +137,7 @@ def test_schur_oracle_hit_returns_the_kept_read_only_factors(rng, monkeypatch):
 def test_schur_oracle_decomposes_again_after_an_in_place_change(rng, monkeypatch):
     a = rand_complex(rng, 6)
     a[2, 3] = 0.0
-    calls = count_lapack_schur(monkeypatch)
+    calls = count_decompositions(monkeypatch)
     numcore.schur_oracle(a)
     numcore.schur_oracle(a)
     assert len(calls) == 1
