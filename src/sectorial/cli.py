@@ -351,7 +351,7 @@ def run_neumann(cfg, outdir: Path, tol: dict, seed: int) -> dict:
     n_terms = _bounded(cfg.get("path"), "n_terms", 40, int, 0)
     rg = rigging.make_h_plus(h)
     result = resolvent.neumann_resolvent(h, t, rg, n_terms)
-    direct = numcore.solve(h + t, np.eye(h.shape[0], dtype=complex))
+    direct = numcore.inverse(h + t)
     rows = []
     for k, partial in enumerate(result.partials):
         err = float(np.linalg.norm(partial - direct, 2))

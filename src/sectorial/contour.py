@@ -10,22 +10,19 @@ contour quantity is computed in one basis, the Schur form A = Z T Z* of
 :func:`numcore.schur_oracle` (diagonal, from ``eigh``, for exactly hermitian
 input), taken once per distinct matrix (it keeps the last one), whose
 diagonal also clears the contour; resolvents at many shifts from one Schur
-form follow Trefethen (Acta Numerica 8, 1999).  Full-matrix quantities go
-through one engine, :func:`resolvent_sums`: one triangular inverse of
-T - zeta_j per node (~n^3/6 multiply-adds), or for a diagonal T the vector
-of 1/(t_ii - zeta_j) and no resolvent, the weighted terms folded in a fixed
-pairwise order and each sum conjugated by Z once at the end.  Nodes are
-solved in chunks of at most CHUNK_NODES nodes and CHUNK_BYTES of
-resolvents, so results do not depend on evaluation scheduling and memory
-grows with neither the node count nor, past n = 1024, the chunk.
-Quantities that need less than a full matrix never form a resolvent.
-Traces of the resolvent come from :func:`schur_trace_sum`,
-sum_i 1/(t_ii - zeta) per node, summed in the same fixed order;
-:func:`extract_eigenvalue` takes Tr P and Tr AP from it.  The rank-one pair
-phi, eta of an isolated eigenvalue comes from :func:`enclosed_pair`: one
-back and one forward substitution on T - zeta_j per node, O(n^2) (~0.1 s a
-pass at n = 256 and 128 nodes, one BLAS thread, mostly Schur; ~0.01 s when
-the pass reuses the decomposition).
+form follow Trefethen (Acta Numerica 8, 1999).  Three engines sum over the
+nodes, all on one walk (:func:`_walk`): the rule in chunks, in node order;
+one pivot check, where a pivot t_ii - zeta_j with no finite reciprocal
+raises SpectrumHitError; and one fold of the weighted terms in a fixed
+pairwise order.  So results do not depend on evaluation scheduling, and
+memory does not grow with the node count.  Full matrices come from
+:func:`resolvent_sums`: one triangular inverse of T - zeta_j per node
+(~n^3/6 multiply-adds), or for a diagonal T the vector of 1/(t_ii - zeta_j),
+each sum conjugated by Z once at the end.  Traces come from
+:func:`schur_trace_sum`, sum_i 1/(t_ii - zeta_j) per node, and give
+:func:`extract_eigenvalue` Tr P and Tr AP.  The rank-one pair phi, eta of an
+isolated eigenvalue (:func:`enclosed_pair`) takes one back and one forward
+substitution on T - zeta_j per node, O(n^2), and b / pivots on a diagonal T.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from .errors import (
     NotAProjectionError,
     ProbeOrthogonalError,
     RankNotOneError,
-    SingularMatrixError,
     SpectrumHitError,
 )
 from .forms import Sector
@@ -195,18 +191,35 @@ class RightBoundary:
 
 # -- operator calculus --------------------------------------------------------
 
-def _schur_pivots(t: np.ndarray, z: np.ndarray, first: int) -> np.ndarray:
-    """Pivots t_ii - z_j of T - z_j I for an upper-triangular T, shape
-    (n, shifts).  A pivot that is zero or not finite raises
-    SingularMatrixError naming node ``first + j``, z_j and the pivot."""
+def _chunks(rule: QuadratureRule, step: int):
+    """(first index, sub-rule) of each run of up to ``step`` nodes, in order."""
+    for lo in range(0, len(rule.nodes), step):
+        yield lo, QuadratureRule(nodes=rule.nodes[lo:lo + step],
+                                 weights=rule.weights[lo:lo + step], closed=False)
+
+
+def _is_diagonal(t: np.ndarray) -> bool:
+    """Whether the triangular T has nothing above its diagonal.  A nonzero on
+    the first superdiagonal, which almost every other T has, answers in O(n)."""
+    return not (np.any(np.diagonal(t, 1)) or np.any(np.triu(t, 1)))
+
+
+def _schur_pivots(t: np.ndarray, z: np.ndarray, first: int):
+    """(pivots, reciprocals): t_ii - z_j of T - z_j I for an upper-triangular
+    T and 1 / (t_ii - z_j), each of shape (n, shifts).  The one check of
+    every Schur-basis engine: a pivot with no finite reciprocal (zero, not
+    finite, or so small that 1 / pivot overflows) raises SpectrumHitError
+    naming node ``first + j``, z_j and the pivot."""
     piv = np.diagonal(t)[:, None] - z
-    bad = np.argwhere(~(np.isfinite(piv) & (piv != 0)).T)
-    if bad.size:
-        j, i = bad[0]
-        raise SingularMatrixError(
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = 1.0 / piv
+    ok = np.isfinite(piv) & np.isfinite(inv)
+    if not ok.all():
+        j, i = np.argwhere(~ok.T)[0]
+        raise SpectrumHitError(
             f"node {first + j} (zeta = {complex(z[j]):.6g}) has Schur pivot {i} = "
             f"{complex(piv[i, j]):.3e}: the node is on the spectrum")
-    return piv
+    return piv, inv
 
 
 def _resolvent_nodes(a: np.ndarray, rule: QuadratureRule) -> list[np.ndarray]:
@@ -236,50 +249,58 @@ def _chunk_nodes(n: int) -> int:
     return min(CHUNK_NODES, max(1, CHUNK_BYTES // (16 * n * n)))
 
 
-def _fold_chunk(sums, funcs, chunk: QuadratureRule, resolvents) -> None:
-    for z, w, r in zip(chunk.nodes, chunk.weights, resolvents):
-        for f, acc in zip(funcs, sums):
-            acc.add(w * f(z) * r)
+def _fold_chunk(sums, funcs, chunk: QuadratureRule, terms) -> None:
+    """The one place a weighted term enters a sum: w_j f(zeta_j) term_j into
+    the accumulator of each f (w_j alone for an f of None)."""
+    adds = [acc.add for acc in sums]
+    for z, w, term in zip(chunk.nodes, chunk.weights, terms):
+        for f, add in zip(funcs, adds):
+            add((w if f is None else w * f(z)) * term)
+
+
+def _walk(rule: QuadratureRule, step: int, funcs, terms) -> list:
+    """sum_j w_j f(zeta_j) term_j for each f: the node walk of every
+    Schur-basis engine.  ``terms(chunk, first)`` checks the pivots of
+    ``step`` nodes from node ``first`` on (:func:`_schur_pivots`) and gives
+    their terms, each folded at once into a :class:`PairwiseAccumulator`,
+    so a sum is ``pairwise_sum`` over all m terms bit for bit and memory
+    holds one chunk of terms and log2 m partial sums per f."""
+    sums = [PairwiseAccumulator() for _ in funcs]
+    for lo, chunk in _chunks(rule, step):
+        # one call, so each chunk's terms are freed before the next is formed
+        _fold_chunk(sums, funcs, chunk, terms(chunk, lo))
+    return [acc.total() for acc in sums]
 
 
 def resolvent_sums(a: np.ndarray, rule: QuadratureRule, funcs) -> list:
     """sum_j w_j f(zeta_j) R(zeta_j, A) over the nodes of ``rule``, for each f.
 
-    The one quadrature engine behind every contour quantity.  A = Z T Z* in
+    The engine behind every full-matrix contour quantity.  A = Z T Z* in
     Schur form (:func:`numcore.schur_oracle`, which returns the
     decomposition a clearance check on the same A just made; diagonal, from
-    ``eigh``, for exactly hermitian A); a node on a Schur pivot raises
-    SingularMatrixError naming the node.  Each weighted term is folded at
-    once into a :class:`PairwiseAccumulator` per f, so every sum equals
-    ``pairwise_sum`` over the m terms bit for bit, and Z commutes with the
-    node sum: each total S becomes Z S Z* once, at the end.
+    ``eigh``, for exactly hermitian A), summed by :func:`_walk`, which
+    raises SpectrumHitError for a node on a Schur pivot.  Z commutes with
+    the node sum: each total S becomes Z S Z* once, at the end.
 
     A triangular T costs one triangular inverse per node
-    (:func:`_resolvent_nodes`), solved :func:`_chunk_nodes` at a time
-    (CHUNK_NODES up to n = 1024, then CHUNK_BYTES of resolvents), so memory
-    is O(CHUNK_BYTES + len(funcs) * log2 m * n^2) whatever the node count m.
-    A T with nothing above its diagonal forms no resolvent: R(zeta_j, T) is
-    diag(1/(t_ii - zeta_j)), so each term is the vector
-    w_j f(zeta_j) / (t_ii - zeta_j) of the rule's scalar filter (Higham,
-    Functions of Matrices, SIAM 2008, ch. 4), TRACE_CHUNK_NODES nodes of
-    pivots at a time, memory O(TRACE_CHUNK_NODES * n), and each sum is
-    Z diag(s) Z*.
+    (:func:`_resolvent_nodes`), :func:`_chunk_nodes` nodes at a time, so
+    memory is O(CHUNK_BYTES + len(funcs) * log2 m * n^2) for m nodes.  A
+    diagonal T forms no resolvent: R(zeta_j, T) is diag(1/(t_ii - zeta_j)),
+    so each term is the vector w_j f(zeta_j) / (t_ii - zeta_j) of the rule's
+    scalar filter (Higham, Functions of Matrices, SIAM 2008, ch. 4),
+    TRACE_CHUNK_NODES nodes at a time in O(TRACE_CHUNK_NODES * n) memory,
+    and each sum is Z diag(s) Z*.
     """
     t, z, _ = schur_oracle(a)
-    diagonal = not np.any(np.triu(t, 1))
-    sums = [PairwiseAccumulator() for _ in funcs]
-    step = TRACE_CHUNK_NODES if diagonal else _chunk_nodes(t.shape[0])
-    for lo in range(0, len(rule.nodes), step):
-        chunk = QuadratureRule(nodes=rule.nodes[lo:lo + step],
-                               weights=rule.weights[lo:lo + step], closed=False)
-        # helper calls, so each chunk's terms are freed before the next is formed
-        if diagonal:  # column j of 1 / pivots is the diagonal of R(zeta_j, T)
-            _fold_chunk(sums, funcs, chunk, (1.0 / _schur_pivots(t, chunk.nodes, lo)).T)
-        else:
-            _schur_pivots(t, chunk.nodes, lo)
-            _fold_chunk(sums, funcs, chunk, _resolvent_nodes(t, chunk))
+    diagonal = _is_diagonal(t)
+
+    def terms(chunk, lo):
+        inv = _schur_pivots(t, chunk.nodes, lo)[1]
+        # column j of 1 / pivots is the diagonal of R(zeta_j, T)
+        return inv.T if diagonal else _resolvent_nodes(t, chunk)
+    sums = _walk(rule, TRACE_CHUNK_NODES if diagonal else _chunk_nodes(t.shape[0]), funcs, terms)
     zh = z.conj().T
-    return [(z * acc.total() if diagonal else z @ acc.total()) @ zh for acc in sums]
+    return [(z * s if diagonal else z @ s) @ zh for s in sums]
 
 
 def schur_trace_sum(t, rule: QuadratureRule, funcs) -> list[complex]:
@@ -287,45 +308,31 @@ def schur_trace_sum(t, rule: QuadratureRule, funcs) -> list[complex]:
     upper-triangular T, for each f; the trace-only counterpart of
     :func:`resolvent_sums`.
 
-    No resolvent is formed: Tr R(zeta, T) = sum_i 1/(t_ii - zeta), one
-    vectorized expression over the rows and TRACE_CHUNK_NODES nodes at a
-    time, rows added in row order, so memory is O(TRACE_CHUNK_NODES * n)
-    whatever the node count.  Each f's m terms are reduced with
-    :func:`pairwise_sum` in node order, so the sums are reproducible.  A node
-    whose trace is not finite raises SpectrumHitError naming the node; a T
-    that is not upper triangular raises ValueError.
+    No resolvent is formed: Tr R(zeta, T) = sum_i 1/(t_ii - zeta), the
+    reciprocals of :func:`_schur_pivots` added in row order, for
+    TRACE_CHUNK_NODES nodes at a time of :func:`_walk`, so memory is
+    O(TRACE_CHUNK_NODES * n) whatever the node count.  A node on a Schur
+    pivot raises SpectrumHitError; a T that is not upper triangular raises
+    ValueError.
     """
     t = as_matrix(t)
     if np.any(np.tril(t, -1)):
         raise ValueError("expected an upper-triangular matrix")
-    diag = np.diagonal(t)
-    terms = [[] for _ in funcs]
-    for lo in range(0, len(rule.nodes), TRACE_CHUNK_NODES):
-        z = rule.nodes[lo:lo + TRACE_CHUNK_NODES]
-        rows_tr = np.subtract(diag[:, None], z)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(1.0, rows_tr, out=rows_tr)
-        bad = np.argwhere(~np.isfinite(rows_tr))
-        if bad.size:
-            i, j = bad[0]
-            raise SpectrumHitError(
-                f"node {lo + j} (zeta = {complex(z[j]):.6g}) gives 1/(t_ii - zeta) = "
-                f"{complex(rows_tr[i, j]):.3e} at Schur row {i} (t_ii = "
-                f"{complex(diag[i]):.6g}): the node is numerically on the spectrum")
-        tr = np.zeros(z.size, dtype=complex)
-        for row in rows_tr:
+
+    def traces(chunk, lo):
+        inv = _schur_pivots(t, chunk.nodes, lo)[1]
+        tr = np.zeros(chunk.nodes.size, dtype=complex)
+        for row in inv:
             tr += row
-        weights = rule.weights[lo:lo + TRACE_CHUNK_NODES]
-        for f, acc in zip(funcs, terms):
-            acc += [w * f(zj) * tj for zj, w, tj in zip(z, weights, tr)]
-    return [complex(pairwise_sum(acc)) for acc in terms]
+        return tr
+    return [complex(s) for s in _walk(rule, TRACE_CHUNK_NODES, funcs, traces)]
 
 
 def _check_clearance(rule: QuadratureRule, spectrum: np.ndarray,
                      factor: float = CLEARANCE_FACTOR) -> None:
     # TRACE_CHUNK_NODES nodes at a time: the distance table does not grow with the rule
-    dist = min(np.abs(rule.nodes[lo:lo + TRACE_CHUNK_NODES, None] - spectrum).min()
-               for lo in range(0, len(rule.nodes), TRACE_CHUNK_NODES))
+    dist = min(np.abs(chunk.nodes[:, None] - spectrum).min()
+               for _, chunk in _chunks(rule, TRACE_CHUNK_NODES))
     spacing = rule.max_spacing()
     if dist < factor * spacing:
         raise ContourThroughSpectrumError(
@@ -334,28 +341,21 @@ def _check_clearance(rule: QuadratureRule, spectrum: np.ndarray,
         )
 
 
-def _cleared(a, contour, clearance_factor: float = CLEARANCE_FACTOR, spectrum=None):
-    """(A, rule, spectrum): A as a matrix and the contour's quadrature rule,
-    checked against the Schur spectrum (``spectrum`` when the caller already
-    holds it) by :func:`_check_clearance`.  The decomposition stays kept in
-    :func:`numcore.schur_oracle`, so the resolvent pass that follows on the
-    same A reuses it."""
+def _cleared(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
+    """(A, rule, T, Z, spectrum): A as a matrix, the contour's rule, and the
+    Schur form A = Z T Z* (:func:`numcore.schur_oracle`, which keeps it for
+    the pass that follows) whose spectrum clears the rule."""
     a = as_matrix(a)
     rule = contour.rule()
-    spec = schur_oracle(a)[2] if spectrum is None else spectrum
+    t, z, spec = schur_oracle(a)
     _check_clearance(rule, spec, clearance_factor)
-    return a, rule, spec
+    return a, rule, t, z, spec
 
 
-def _integrate_rdt(a, contour, funcs, clearance_factor: float = CLEARANCE_FACTOR,
-                   spectrum=None):
-    """-(1/2 pi i) * contour integral of f(zeta) R(zeta, A) for each f.
-
-    One resolvent pass whatever the number of f.  Returns the integrals and
-    the Schur spectrum the contour was cleared against (``spectrum`` when
-    the caller already holds it).
-    """
-    a, rule, spec = _cleared(a, contour, clearance_factor, spectrum)
+def _integrate_rdt(a, contour, funcs, clearance_factor: float = CLEARANCE_FACTOR):
+    """(-(1/2 pi i) * contour integral of f(zeta) R(zeta, A) for each f, the
+    Schur spectrum that cleared the contour), from one resolvent pass."""
+    a, rule, _, _, spec = _cleared(a, contour, clearance_factor)
     return [-s / (2j * math.pi) for s in resolvent_sums(a, rule, funcs)], spec
 
 
@@ -414,10 +414,7 @@ def extract_eigenvalue(a, contour, trace_tol: float = 0.01,
     :func:`enclosed_eigenvalue`), from Tr P and Tr AP alone: one Schur form
     T (:func:`numcore.schur_oracle`), whose diagonal also clears the contour,
     and :func:`schur_trace_sum` on it, no resolvent formed."""
-    a = as_matrix(a)
-    t, _, spec = schur_oracle(a)
-    rule = contour.rule()
-    _check_clearance(rule, spec, clearance_factor)
+    _, rule, t, _, _ = _cleared(a, contour, clearance_factor)
     return enclosed_eigenvalue(*_enclosed_traces(t, rule), trace_tol)
 
 
@@ -428,33 +425,34 @@ def _default_probes(n: int) -> np.ndarray:
 
 
 def _shifted_triangular_solves(t, z, b, c, first: int = 0):
-    """(X, Y) with columns (T - z_j I)^-1 b and (T - z_j I)^-T c for an
-    upper-triangular T: one back and one forward substitution, each row a
-    vector over the shifts, O(n^2) per shift.  A pivot t_ii - z_j that is
-    zero or not finite raises SingularMatrixError (:func:`_schur_pivots`)."""
-    piv = _schur_pivots(t, z, first)
+    """(X, Y), one (2, n, shifts) array, with columns (T - z_j I)^-1 b and
+    (T - z_j I)^-T c for an upper-triangular T: one back and one forward
+    substitution, each row a vector over the shifts, O(n^2) per shift.  A
+    pivot with no finite reciprocal raises SpectrumHitError (:func:`_schur_pivots`)."""
+    piv = _schur_pivots(t, z, first)[0]
     tc = np.ascontiguousarray(t.T)  # row i holds column i of T
-    x, y = np.empty_like(piv), np.empty_like(piv)
+    x, y = xy = np.empty((2,) + piv.shape, dtype=complex)
     for i in range(len(t) - 1, -1, -1):
         x[i] = (b[i] - t[i, i + 1:] @ x[i + 1:]) / piv[i]
     for i in range(len(t)):
         y[i] = (c[i] - tc[i, :i] @ y[:i]) / piv[i]
-    return x, y
+    return xy
 
 
 def _triangular_probe_sums(t, rule: QuadratureRule, b, c):
     """(sum_j w_j (T - zeta_j)^-1 b, sum_j w_j (T - zeta_j)^-T c) for an
-    upper-triangular T, solved TRACE_CHUNK_NODES nodes at a time with each
-    weighted term folded at once, so memory does not grow with the node
-    count and each sum equals ``pairwise_sum`` in node order."""
-    right, left = PairwiseAccumulator(), PairwiseAccumulator()
-    for lo in range(0, len(rule.nodes), TRACE_CHUNK_NODES):
-        x, y = _shifted_triangular_solves(t, rule.nodes[lo:lo + TRACE_CHUNK_NODES], b, c, lo)
-        for j, w in enumerate(rule.weights[lo:lo + TRACE_CHUNK_NODES]):
-            right.add(w * x[:, j])
-            left.add(w * y[:, j])
-        del x, y  # free the block before the next one is solved
-    return right.total(), left.total()
+    upper-triangular T, TRACE_CHUNK_NODES nodes at a time of :func:`_walk`.
+    A T with nothing above its diagonal takes b / pivots and c / pivots:
+    the substitutions' products above the diagonal are exact zeros, so the
+    bits are theirs."""
+    if _is_diagonal(t):
+        bc = np.stack((b, c))[:, :, None]
+        solves = lambda chunk, lo: bc / _schur_pivots(t, chunk.nodes, lo)[0]
+    else:
+        solves = lambda chunk, lo: _shifted_triangular_solves(t, chunk.nodes, b, c, lo)
+    # node j's term is the (2, n) pair of its columns, and the sum's rows are the two sums
+    return _walk(rule, TRACE_CHUNK_NODES, [None],
+                 lambda chunk, lo: np.moveaxis(solves(chunk, lo), -1, 0))[0]
 
 
 def enclosed_pair(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
@@ -470,14 +468,14 @@ def enclosed_pair(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
     P* u, normalized.  One complex Schur decomposition A = Z T Z* per
     distinct matrix serves the pass (Trefethen, Acta Numerica 8, 1999):
     diag(T) clears the contour, the probe sums take one back and one forward
-    substitution on T - zeta_j per node (:func:`_triangular_probe_sums`), and
-    Tr P, Tr AP come from :func:`schur_trace_sum` on T.  At n = 256 and 128 nodes
-    (one BLAS thread) a pass takes ~0.1 s, ~80% of it the Schur
-    decomposition, and ~0.01 s when it is the same A as the last
-    decomposition :func:`numcore.schur_oracle` made.
+    substitution on T - zeta_j per node, or b / pivots on a diagonal T
+    (:func:`_triangular_probe_sums`), and Tr P, Tr AP come from
+    :func:`schur_trace_sum` on T.  At n = 256 and 128 nodes (one BLAS
+    thread) a pass takes ~0.1 s, mostly Schur, and ~0.01 s (~5 ms for a
+    diagonal T) on the A of the last :func:`numcore.schur_oracle` call.
 
     Checks, each raising a typed error: the clearance oracle; a node on a
-    Schur pivot (SingularMatrixError); Tr P through
+    Schur pivot (SpectrumHitError); Tr P through
     :func:`enclosed_eigenvalue`; each probe's overlap cosine with its vector
     (|eta* v| / |eta||v| and |phi* u| / |u|) at least PROBE_FLOOR
     (ProbeOrthogonalError); and the residuals |A phi - E phi| and
@@ -486,10 +484,7 @@ def enclosed_pair(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
     on |A|_2, so the residual checks are at least as strict as against the
     2-norm.
     """
-    a = as_matrix(a)
-    t, z, spec = schur_oracle(a)
-    rule = contour.rule()
-    _check_clearance(rule, spec, clearance_factor)
+    a, rule, t, z, spec = _cleared(a, contour, clearance_factor)
     v, u = (np.asarray(p, dtype=complex) / np.linalg.norm(p)
             for p in _default_probes(a.shape[0]))
     zh = z.conj().T
@@ -597,7 +592,7 @@ def low_energy_hamiltonian(a, boundary: RightBoundary,
     per_length = CLEARANCE_FACTOR * _panel_gap(order) / dmin
     counts = [int(np.clip(math.ceil(per_length * abs(p1 - p0)), 4, 512)) for p0, p1 in edges]
     tri = Polyline(vertices=tuple(verts), order=order, panels=tuple(counts))
-    (p, ap), _ = _integrate_rdt(a, tri, [lambda z: 1.0, lambda z: z], spectrum=spec)
+    (p, ap), _ = _integrate_rdt(a, tri, [lambda z: 1.0, lambda z: z])
     return p, ap
 
 

@@ -56,8 +56,9 @@ class H0NotCoerciveError(NumericalFailure):
 
 # -- resolvent / contour -----------------------------------------------------
 
-class SpectrumHitError(NumericalFailure):
-    """Resolvent requested at (numerically) a spectral point."""
+class SpectrumHitError(SingularMatrixError):
+    """Resolvent requested at (numerically) a spectral point: an LU pivot
+    below tolerance, or a Schur pivot t_ii - zeta with no finite reciprocal."""
 
 
 class ZetaInsideRangeError(NumericalFailure):

@@ -11,7 +11,7 @@ import scipy.linalg as sla
 
 from .errors import SingularMatrixError, SpectrumHitError, ZetaInsideRangeError
 from .forms import DEFAULT_NODES, numerical_range
-from .numcore import as_matrix, solve
+from .numcore import as_matrix, inverse
 from .rigging import Rigging
 
 
@@ -24,7 +24,7 @@ def rmap(zeta: complex, t) -> np.ndarray:
     t = as_matrix(t)
     shifted = t - complex(zeta) * np.eye(t.shape[0])
     try:
-        return solve(shifted, np.eye(t.shape[0], dtype=complex))
+        return inverse(shifted)
     except SingularMatrixError as exc:
         raise SpectrumHitError(f"zeta = {zeta} is numerically in the spectrum") from exc
 
@@ -57,7 +57,7 @@ def neumann_resolvent(h, t, rg: Rigging, n_terms: int) -> NeumannResult:
     t = as_matrix(t)
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    hinv = solve(h, np.eye(h.shape[0], dtype=complex))
+    hinv = inverse(h)
     l = rg.factor
     # contraction measured as an operator on H-: |L^-* (T H^{-1}) L^*|
     m = sla.solve_triangular(l.conj().T, t @ hinv @ l.conj().T, lower=True,

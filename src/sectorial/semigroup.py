@@ -34,7 +34,7 @@ from .errors import (
     ZeroPartitionFunctionError,
 )
 from .forms import Sector, hermitian_split, numerical_range, fit_sector
-from .numcore import as_matrix, schur_oracle, solve
+from .numcore import as_matrix, inverse, schur_oracle
 
 VERTEX_SETBACK = 0.5
 TAIL_CUTOFF = 1e-14
@@ -225,6 +225,6 @@ def of_norm(t, h0, tol: float = 1e-10) -> float:
     w = sla.eigh(h0, eigvals_only=True, check_finite=False)
     if w[0] < 1.0 - tol:
         raise H0NotCoerciveError(f"lambda_min(H0) = {w[0]:.6e} < 1")
-    h0_inv = solve(h0, np.eye(h0.shape[0], dtype=complex))
+    h0_inv = inverse(h0)
     tr, ti = hermitian_split(t)
     return float(sla.svdvals(tr @ h0_inv)[0] + sla.svdvals(ti @ h0_inv)[0])

@@ -501,6 +501,23 @@ def test_engine_node_on_eigenvalue_raises_singular():
         assert "node 1 (zeta = 1+0j)" in str(err.value)
 
 
+@pytest.mark.parametrize("a", [np.diag([0.0, 5.0]), np.array([[0.0, 1.0], [0.0, 5.0]])],
+                         ids=["diagonal T", "triangular T"])
+def test_engines_raise_spectrum_hit_on_a_pivot_with_no_finite_reciprocal(a):
+    # pivot 0 - 1e-310 is finite and nonzero, but 1 / pivot overflows
+    a = a.astype(complex)
+    rule = QuadratureRule(np.array([1e-310, 2.0 + 0j]), np.ones(2, dtype=complex), closed=False)
+    t = numcore.schur_oracle(a)[0]
+    assert np.array_equal(np.diagonal(t), [0.0, 5.0])
+    probes = np.ones((2, 2), dtype=complex)
+    for engine in (lambda: contour.resolvent_sums(a, rule, [lambda z: 1.0]),
+                   lambda: schur_trace_sum(t, rule, [lambda z: 1.0]),
+                   lambda: contour._triangular_probe_sums(t, rule, *probes)):
+        with pytest.raises(SpectrumHitError, match="node 0 ") as err:
+            engine()
+        assert isinstance(err.value, SingularMatrixError)
+
+
 def test_diagonal_sums_are_pairwise_sum_bit_for_bit(rng, monkeypatch):
     a = exact_hermitian(rng, 12)
     t, q, _ = numcore.schur_oracle(a)
@@ -674,6 +691,16 @@ def test_full_matrix_pass_is_one_schur_decomposition(quantity, rng, monkeypatch)
     assert len(schurs) == 1 and not oracles and not reductions
 
 
+def test_a_rule_of_several_chunks_is_cleared_once(rng, monkeypatch):
+    a = rand_sectorial(rng, 8)
+    spec = numcore.eigvals_oracle(a)
+    circle = Circle(complex(spec[0]), 0.4 * np.abs(spec[1:] - spec[0]).min(),
+                    2 * TRACE_CHUNK_NODES + 88)
+    checks = count_calls(monkeypatch, contour._check_clearance)
+    riesz_projection(a, circle)
+    assert len(checks) == 1
+
+
 def test_chunk_nodes_bound_the_chunk_bytes():
     # 32 nodes up to n = 1024 (2**29 bytes of resolvents), fewer above
     assert contour._chunk_nodes(256) == CHUNK_NODES == 32
@@ -714,7 +741,7 @@ def test_enclosed_pair_matches_decomposed_projection_sectorial(rng):
             assert_pair_matches(t, c)
 
 
-def test_enclosed_pair_matches_decomposed_projection_lattice(rng):
+def test_enclosed_pair_matches_decomposed_projection_lattice(rng, monkeypatch):
     grid = schrodinger.Grid(d=1, n=8, delta=0.5)
     space = schrodinger.ManyBodySpace(grid=grid, particles=2)
     x = np.arange(8)
@@ -731,6 +758,15 @@ def test_enclosed_pair_matches_decomposed_projection_lattice(rng):
         assert_pair_matches(mat, Circle(complex(spec[k]), 0.4 * gap, 64))
     phi, eta, _, _ = enclosed_pair(mat, Circle(complex(spec[0]), 0.4 * abs(spec[1] - spec[0])))
     assert np.linalg.norm(eta - phi) > 1e-6
+    # at real fields T is diagonal: the pair path divides by the pivots and
+    # keeps the bits of the full substitutions
+    herm = fam(np.zeros(len(dirs)))
+    spec = numcore.eigvals_oracle(herm)
+    c = Circle(complex(spec[0]), 0.4 * abs(spec[1] - spec[0]))
+    pair = enclosed_pair(herm, c)
+    with monkeypatch.context() as patch:
+        patch.setattr(contour, "_is_diagonal", lambda t: False)
+        assert all(same_bits(got, ref) for got, ref in zip(pair, enclosed_pair(herm, c)))
 
 
 def test_enclosed_pair_typed_enclosure_errors():
@@ -793,10 +829,12 @@ def test_shifted_triangular_solves_match_per_node_reference(rng):
         "near-Jordan": (near_jordan, Circle(2.0, 1.5, 64)),
         "n=1": (np.array([[0.7 + 0.1j]]), Circle(0.5, 1.0, 32)),
         "n=2": (rand_complex(rng, 2), Circle(0.0, 4.0, 33)),
+        "exactly hermitian (diagonal T)": (exact_hermitian(rng, 10), Circle(2.5, 1.0, 64)),
     }
     for name, (a, c) in cases.items():
         t, _, _ = numcore.schur_oracle(a)
-        n, z = t.shape[0], c.rule().nodes
+        rule = c.rule()
+        n, z = t.shape[0], rule.nodes
         b, d = rand_complex(rng, 2, n)
         x, y = contour._shifted_triangular_solves(t, z, b, d)
         for j, zj in enumerate(z):
@@ -805,6 +843,10 @@ def test_shifted_triangular_solves_match_per_node_reference(rng):
             ref_y = sla.solve_triangular(shifted, d, trans="T")
             assert np.linalg.norm(x[:, j] - ref_x) <= 1e-13 * np.linalg.norm(ref_x), name
             assert np.linalg.norm(y[:, j] - ref_y) <= 1e-13 * np.linalg.norm(ref_y), name
+        # the pair path's sums (b / pivots on a diagonal T) keep the substitutions' bits
+        right, left = contour._triangular_probe_sums(t, rule, b, d)
+        assert same_bits(right, numcore.pairwise_sum([w * x[:, j] for j, w in enumerate(rule.weights)]))
+        assert same_bits(left, numcore.pairwise_sum([w * y[:, j] for j, w in enumerate(rule.weights)]))
 
 
 def pair_pass_peak(a, c, cold):
