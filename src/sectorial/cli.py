@@ -3,7 +3,8 @@
 One JSON config per run; subcommands numrange, riesz, track, density,
 thermal, holocheck, neumann.  Outputs are CSV tables (one header line,
 complex columns split into re_*/im_*) plus a summary JSON with run metadata
-and residual maxima.  Identical config and seed produce byte-identical CSVs.
+and residual maxima.  Identical config and seed produce byte-identical CSVs
+at a fixed BLAS thread count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
 machine-readable error object goes to stderr).
@@ -78,11 +79,14 @@ def parse_matrix(cfg: dict) -> np.ndarray:
     block = _require(cfg, "matrix")
     if isinstance(block, dict) and "demo" in block:
         name = block["demo"]
-        if name not in DEMO_MATRICES:
+        if not isinstance(name, str) or name not in DEMO_MATRICES:
             raise ConfigError(f"unknown demo matrix '{name}'")
         m = DEMO_MATRICES[name].copy()
         if name == "two_level" and "delta" in block:
-            m[1, 1] = float(block["delta"])
+            try:
+                m[1, 1] = float(block["delta"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad 'delta': {exc}") from exc
         return m
     try:
         return numcore.matrix_from_json(block)
@@ -103,6 +107,8 @@ def parse_contour(cfg: dict, default=None):
         if default is not None:
             return default
         raise ConfigError("missing required config key 'contour'")
+    if not isinstance(block, dict):
+        raise ConfigError("'contour' must be an object")
     kind = block.get("type")
     try:
         if kind == "circle":
@@ -125,7 +131,7 @@ def parse_contour(cfg: dict, default=None):
 def _complex_array(data, count: int, what: str) -> np.ndarray:
     try:
         arr = np.array([complex(p[0], p[1]) for p in data], dtype=complex)
-    except (TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         raise ConfigError(f"{what}: expected a list of [re, im] pairs") from exc
     if arr.size != count:
         raise ConfigError(f"{what}: expected {count} entries, got {arr.size}")
@@ -146,6 +152,8 @@ def parse_grid(cfg: dict):
 
 def parse_fields(cfg_block, grid) -> schrodinger.FieldConfig:
     block = cfg_block or {}
+    if not isinstance(block, dict):
+        raise ConfigError("a fields block must be an object")
     base = schrodinger.FieldConfig.zero(grid)
     links = grid.d * grid.sites
 
@@ -158,11 +166,11 @@ def parse_fields(cfg_block, grid) -> schrodinger.FieldConfig:
     a = pick("a", links, base.a.reshape(-1)).reshape((grid.d,) + grid.shape)
     v = pick("v", grid.sites, base.v.reshape(-1)).reshape(grid.shape)
     f = pick("f", grid.sites, base.f)
-    u0 = np.asarray(block.get("u0", np.zeros(grid.sites)), dtype=float)
-    v0 = np.asarray(block.get("v0", np.zeros(grid.sites)), dtype=float).reshape(grid.shape)
     try:
+        u0 = np.asarray(block.get("u0", np.zeros(grid.sites)), dtype=float)
+        v0 = np.asarray(block.get("v0", np.zeros(grid.sites)), dtype=float).reshape(grid.shape)
         return schrodinger.FieldConfig(grid=grid, u=u, a=a, v=v, f=f, u0=u0, v0=v0)
-    except (ValueError, SectorialError) as exc:
+    except (TypeError, ValueError, SectorialError) as exc:
         raise ConfigError(f"bad fields block: {exc}") from exc
 
 
@@ -214,7 +222,7 @@ def run_riesz(cfg, outdir: Path, tol: dict, seed: int) -> dict:
     if isinstance(contour, RightBoundary):
         p, a_low = low_energy_hamiltonian(matrix, contour)
     else:
-        p, a_low, _ = spectral_pair(matrix, contour)
+        p, a_low = spectral_pair(matrix, contour)
     rows = [[i, j, re, im] for (i, j), re, im in
             zip(np.ndindex(p.shape), p.real.ravel().tolist(), p.imag.ravel().tolist())]
     write_csv(outdir / "projector.csv", ["row", "col", "re_p", "im_p"], rows)
@@ -382,15 +390,27 @@ def run(config_path: str, output_dir: str | None = None, seed: int | None = None
         print(json.dumps({"error": "ConfigError", "message": str(exc)}), file=sys.stderr)
         return 2
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError("the config must be a JSON object")
         sub = _require(cfg, "subcommand")
         if sub not in SUBCOMMANDS:
             raise ConfigError(f"unknown subcommand '{sub}'")
         tol = cfg.get("tolerances") or {}
         if not isinstance(tol, dict):
             raise ConfigError("'tolerances' must be an object")
-        run_seed = int(seed if seed is not None else cfg.get("seed", 0))
-        outdir = Path(output_dir if output_dir is not None else cfg.get("output_dir", "."))
-        outdir.mkdir(parents=True, exist_ok=True)
+        for key, value in tol.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"tolerance '{key}' = {value!r} must be a real number")
+        run_seed = _bounded({"seed": seed} if seed is not None else cfg, "seed", 0, int, 0)
+        if output_dir is None:
+            output_dir = cfg.get("output_dir", ".")
+            if not isinstance(output_dir, str):
+                raise ConfigError("'output_dir' must be a string")
+        outdir = Path(output_dir)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"bad output directory: {exc}") from exc
         summary = RUNNERS[sub](cfg, outdir, tol, run_seed)
     except ConfigError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
@@ -410,7 +430,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--output", default=None, help="output directory (overrides config)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker hint; results are scheduling-independent")
+                        help="worker hint only; results are byte-identical at a fixed "
+                             "BLAS thread count (OPENBLAS_NUM_THREADS)")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
     return run(args.config, output_dir=args.output, seed=args.seed, threads=args.threads)

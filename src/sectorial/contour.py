@@ -45,12 +45,13 @@ from .errors import (
     SpectrumHitError,
 )
 from .forms import Sector
-from .numcore import (PairwiseAccumulator, as_matrix, eigvals_oracle, pairwise_sum,
-                      schur_oracle)
+from .numcore import PairwiseAccumulator, as_matrix, pairwise_sum, schur_oracle
 
 DEFAULT_CIRCLE_NODES = 128
 DEFAULT_GAUSS_ORDER = 16
-CLEARANCE_FACTOR = 10.0
+CLEARANCE_FACTOR = 10.0  # least node distance from the spectrum, in node spacings
+TRACE_TOL = 0.01  # how far Tr P of a rank-one enclosure may sit from 1 (and 0 from empty)
+LINE_TOL = 1e-9  # least distance of the spectrum from a splitting line, relative to |spectrum|
 CHUNK_NODES = 32  # most nodes per triangular-inverse batch in resolvent_sums
 CHUNK_BYTES = 2 ** 29  # most bytes of resolvents per batch: 32 nodes at n = 1024
 TRACE_CHUNK_NODES = 256  # nodes per vectorized block: traces, probe solves, clearance
@@ -74,17 +75,6 @@ class QuadratureRule:
         """(1/2 pi i) * integral of dzeta/(zeta - z0)."""
         vals = self.weights / (self.nodes - z0)
         return complex(pairwise_sum(list(vals))) / (2j * math.pi)
-
-    def self_test(self, interior: complex, circ_tol: float = 1e-10,
-                  wind_tol: float = 1e-8) -> None:
-        """Closed-contour sanity: zero circulation, unit winding at ``interior``."""
-        if not self.closed:
-            return
-        if abs(self.circulation()) > circ_tol:
-            raise ValueError(f"circulation {abs(self.circulation()):.2e} exceeds {circ_tol:.1e}")
-        w = self.winding(interior) * 2j * math.pi
-        if abs(w - 2j * math.pi) > wind_tol:
-            raise ValueError(f"winding integral off by {abs(w - 2j * math.pi):.2e}")
 
     def max_spacing(self) -> float:
         pts = self.nodes
@@ -135,9 +125,6 @@ class Circle:
         w = (2j * math.pi / self.nodes) * self.radius * np.exp(1j * theta)
         return QuadratureRule(nodes=z, weights=w, closed=True)
 
-    def interior_hint(self) -> complex:
-        return complex(self.center)
-
 
 @dataclass(frozen=True)
 class Polyline:
@@ -171,9 +158,6 @@ class Polyline:
             weights.append(w)
         return QuadratureRule(nodes=np.concatenate(nodes),
                               weights=np.concatenate(weights), closed=True)
-
-    def interior_hint(self) -> complex:
-        return complex(np.mean([complex(v) for v in self.vertices]))
 
 
 @dataclass(frozen=True)
@@ -328,76 +312,78 @@ def schur_trace_sum(t, rule: QuadratureRule, funcs) -> list[complex]:
     return [complex(s) for s in _walk(rule, TRACE_CHUNK_NODES, funcs, traces)]
 
 
-def _check_clearance(rule: QuadratureRule, spectrum: np.ndarray,
-                     factor: float = CLEARANCE_FACTOR) -> None:
+def _check_clearance(rule: QuadratureRule, spectrum: np.ndarray) -> None:
+    """Every node at least CLEARANCE_FACTOR node spacings from the spectrum;
+    ContourThroughSpectrumError otherwise."""
     # TRACE_CHUNK_NODES nodes at a time: the distance table does not grow with the rule
     dist = min(np.abs(chunk.nodes[:, None] - spectrum).min()
                for _, chunk in _chunks(rule, TRACE_CHUNK_NODES))
-    spacing = rule.max_spacing()
-    if dist < factor * spacing:
+    need = CLEARANCE_FACTOR * rule.max_spacing()
+    if dist < need:
         raise ContourThroughSpectrumError(
             f"nodes come within {dist:.3e} of the spectrum "
-            f"(need >= {factor:.0f} x spacing = {factor * spacing:.3e})"
+            f"(need >= {CLEARANCE_FACTOR:.0f} x spacing = {need:.3e})"
         )
 
 
-def _cleared(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
+def _cleared(a, contour):
     """(A, rule, T, Z, spectrum): A as a matrix, the contour's rule, and the
     Schur form A = Z T Z* (:func:`numcore.schur_oracle`, which keeps it for
     the pass that follows) whose spectrum clears the rule."""
     a = as_matrix(a)
     rule = contour.rule()
     t, z, spec = schur_oracle(a)
-    _check_clearance(rule, spec, clearance_factor)
+    _check_clearance(rule, spec)
     return a, rule, t, z, spec
 
 
-def _integrate_rdt(a, contour, funcs, clearance_factor: float = CLEARANCE_FACTOR):
-    """(-(1/2 pi i) * contour integral of f(zeta) R(zeta, A) for each f, the
-    Schur spectrum that cleared the contour), from one resolvent pass."""
-    a, rule, _, _, spec = _cleared(a, contour, clearance_factor)
-    return [-s / (2j * math.pi) for s in resolvent_sums(a, rule, funcs)], spec
+def _integrate_rdt(a, contour, funcs) -> list:
+    """-(1/2 pi i) * contour integral of f(zeta) R(zeta, A) for each f, from
+    one resolvent pass on a cleared contour."""
+    a, rule, _, _, _ = _cleared(a, contour)
+    return [-s / (2j * math.pi) for s in resolvent_sums(a, rule, funcs)]
 
 
-def riesz_projection(a, contour, clearance_factor: float = CLEARANCE_FACTOR) -> np.ndarray:
+def riesz_projection(a, contour) -> np.ndarray:
     """Spectral projection -(1/2 pi i) * integral of R(zeta, A) d zeta."""
-    (p,), _ = _integrate_rdt(a, contour, [lambda z: 1.0], clearance_factor)
+    (p,) = _integrate_rdt(a, contour, [lambda z: 1.0])
     return p
 
 
-def projected_operator(a, contour, clearance_factor: float = CLEARANCE_FACTOR) -> np.ndarray:
+def projected_operator(a, contour) -> np.ndarray:
     """A restricted to the enclosed spectral subspace: -(1/2 pi i) * integral of zeta R d zeta."""
-    (ap,), _ = _integrate_rdt(a, contour, [lambda z: z], clearance_factor)
+    (ap,) = _integrate_rdt(a, contour, [lambda z: z])
     return ap
 
 
-def rdt_function(a, contour, f, clearance_factor: float = CLEARANCE_FACTOR) -> np.ndarray:
+def rdt_function(a, contour, f) -> np.ndarray:
     """f(A) on the enclosed spectrum: -(1/2 pi i) * integral of f(zeta) R d zeta.
 
     ``f`` must be evaluable at every quadrature node and holomorphic on and
     inside the contour.
     """
-    (fa,), _ = _integrate_rdt(a, contour, [f], clearance_factor)
+    (fa,) = _integrate_rdt(a, contour, [f])
     return fa
 
 
-def spectral_pair(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
-    """(P, AP, spectrum): the Riesz projection and the projected operator from
-    one resolvent pass, with the Schur spectrum that cleared the contour."""
-    (p, ap), spec = _integrate_rdt(a, contour, [lambda z: 1.0, lambda z: z], clearance_factor)
-    return p, ap, spec
+def spectral_pair(a, contour):
+    """(P, AP): the Riesz projection and the projected operator from one
+    resolvent pass."""
+    p, ap = _integrate_rdt(a, contour, [lambda z: 1.0, lambda z: z])
+    return p, ap
 
 
-def enclosed_eigenvalue(tr_p, tr_ap, trace_tol: float = 0.01) -> complex:
+def enclosed_eigenvalue(tr_p, tr_ap) -> complex:
     """Tr AP for a rank-one enclosure, from the traces of P and AP.
 
-    Tr P counts enclosed algebraic multiplicity: ~0 raises
-    EmptyEnclosureError, ~k > 1 DegenerateEnclosureError.
+    Tr P counts enclosed algebraic multiplicity: within TRACE_TOL of 0
+    raises EmptyEnclosureError, farther than TRACE_TOL from 1
+    DegenerateEnclosureError.
     """
     tr = complex(tr_p)
-    if abs(tr) <= trace_tol:
+    if abs(tr) <= TRACE_TOL:
         raise EmptyEnclosureError(f"Tr P = {tr:.3e}: contour encloses nothing")
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise DegenerateEnclosureError(f"Tr P = {tr:.4f}: enclosure is not rank one")
     return complex(tr_ap)
 
@@ -408,14 +394,13 @@ def _enclosed_traces(t, rule: QuadratureRule) -> list[complex]:
     return [-s / (2j * math.pi) for s in sums]
 
 
-def extract_eigenvalue(a, contour, trace_tol: float = 0.01,
-                       clearance_factor: float = CLEARANCE_FACTOR) -> complex:
+def extract_eigenvalue(a, contour) -> complex:
     """Isolated nondegenerate eigenvalue enclosed by the contour (see
     :func:`enclosed_eigenvalue`), from Tr P and Tr AP alone: one Schur form
     T (:func:`numcore.schur_oracle`), whose diagonal also clears the contour,
     and :func:`schur_trace_sum` on it, no resolvent formed."""
-    _, rule, t, _, _ = _cleared(a, contour, clearance_factor)
-    return enclosed_eigenvalue(*_enclosed_traces(t, rule), trace_tol)
+    _, rule, t, _, _ = _cleared(a, contour)
+    return enclosed_eigenvalue(*_enclosed_traces(t, rule))
 
 
 def _default_probes(n: int) -> np.ndarray:
@@ -455,7 +440,7 @@ def _triangular_probe_sums(t, rule: QuadratureRule, b, c):
                  lambda chunk, lo: np.moveaxis(solves(chunk, lo), -1, 0))[0]
 
 
-def enclosed_pair(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
+def enclosed_pair(a, contour):
     """(phi, eta, E, spectrum) of the isolated simple eigenvalue E the contour
     encloses: its Riesz projection is P = phi eta* with |phi| = 1 and
     eta* phi = 1, E = Tr AP, and ``spectrum`` is the Schur spectrum diag(T),
@@ -484,7 +469,7 @@ def enclosed_pair(a, contour, clearance_factor: float = CLEARANCE_FACTOR):
     on |A|_2, so the residual checks are at least as strict as against the
     2-norm.
     """
-    a, rule, t, z, spec = _cleared(a, contour, clearance_factor)
+    a, rule, t, z, spec = _cleared(a, contour)
     v, u = (np.asarray(p, dtype=complex) / np.linalg.norm(p)
             for p in _default_probes(a.shape[0]))
     zh = z.conj().T
@@ -553,8 +538,7 @@ def _panel_gap(order: int) -> float:
 
 
 def low_energy_hamiltonian(a, boundary: RightBoundary,
-                           order: int = DEFAULT_GAUSS_ORDER,
-                           line_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+                           order: int = DEFAULT_GAUSS_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """(P, A_low) for the spectrum strictly left of the vertical line.
 
     The line is closed into a triangle with the edges of a dilation of the
@@ -567,7 +551,7 @@ def low_energy_hamiltonian(a, boundary: RightBoundary,
     spec = schur_oracle(a)[2]  # the resolvent pass below reuses the decomposition
     gamma = float(boundary.abscissa)
     scale = max(1.0, float(np.abs(spec).max()) if spec.size else 1.0)
-    if spec.size and np.abs(spec.real - gamma).min() < line_tol * scale:
+    if spec.size and np.abs(spec.real - gamma).min() < LINE_TOL * scale:
         raise GammaHitsSpectrumError(f"spectrum touches the line Re = {gamma}")
 
     sec = boundary.sector
@@ -592,12 +576,5 @@ def low_energy_hamiltonian(a, boundary: RightBoundary,
     per_length = CLEARANCE_FACTOR * _panel_gap(order) / dmin
     counts = [int(np.clip(math.ceil(per_length * abs(p1 - p0)), 4, 512)) for p0, p1 in edges]
     tri = Polyline(vertices=tuple(verts), order=order, panels=tuple(counts))
-    (p, ap), _ = _integrate_rdt(a, tri, [lambda z: 1.0, lambda z: z])
+    p, ap = _integrate_rdt(a, tri, [lambda z: 1.0, lambda z: z])
     return p, ap
-
-
-def enclosed_count(a, contour) -> int:
-    """Number of eigenvalues (oracle, with multiplicity) the contour winds around."""
-    spec = eigvals_oracle(as_matrix(a))
-    rule = contour.rule()
-    return int(sum(int(round(rule.winding(z).real)) for z in spec))

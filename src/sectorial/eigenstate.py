@@ -25,6 +25,7 @@ from . import schrodinger
 GAP_FLOOR = 1e-6
 RADIUS_GAP_FACTOR = 0.4
 PIN_FLOOR = 0.1
+FD_STEP = 1e-2  # central-difference step of hellmann_feynman without dfamily
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,7 @@ def track_to_rows(points: list[TrackPoint]) -> list[dict]:
     ]
 
 
-def hellmann_feynman(family_f, x, w, contour: Circle, dfamily=None,
-                     fd_step: float = 1e-2) -> complex:
+def hellmann_feynman(family_f, x, w, contour: Circle, dfamily=None) -> complex:
     """Directional eigenvalue derivative <eta| (D h . w) |phi> at parameter x.
 
     The pair comes from one probe pass (:func:`enclosed_pair`: one Schur
@@ -153,16 +153,16 @@ def hellmann_feynman(family_f, x, w, contour: Circle, dfamily=None,
 
     ``dfamily(x, w)`` supplies the directional derivative of the form matrix;
     when omitted it is taken as the central difference of family_f over
-    x +/- fd_step * w, which is exact (to rounding) for families of
+    x +/- FD_STEP * w, which is exact (to rounding) for families of
     polynomial degree <= 2 in the parameter.
     """
     phi, eta, _, _ = enclosed_pair(family_f(x), contour)
     if dfamily is not None:
         dh = as_matrix(dfamily(x, w))
     else:
-        plus = as_matrix(family_f(x + fd_step * w))
-        minus = as_matrix(family_f(x - fd_step * w))
-        dh = (plus - minus) / (2.0 * fd_step)
+        plus = as_matrix(family_f(x + FD_STEP * w))
+        minus = as_matrix(family_f(x - FD_STEP * w))
+        dh = (plus - minus) / (2.0 * FD_STEP)
     return complex(eta.conj() @ dh @ phi)
 
 

@@ -25,7 +25,6 @@ from .errors import (
     SingularMatrixError,
 )
 
-# Overridable per call; these are the documented defaults.
 TOL_SOLVE = 1e-12
 PIVOT_RTOL = 1e-13
 EXPM_NORM_CAP = 500.0
@@ -102,11 +101,11 @@ class SpectralData:
     condition: float
 
 
-def solve(a, b, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
+def solve(a, b) -> np.ndarray:
     """Solve A X = B by partially pivoted LU.
 
     Raises SingularMatrixError when any pivot falls below
-    ``pivot_rtol * norm(A, inf)``.
+    ``PIVOT_RTOL * norm(A, inf)``.
     """
     a = as_matrix(a)
     b = np.asarray(b, dtype=complex)
@@ -119,17 +118,17 @@ def solve(a, b, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
         warnings.simplefilter("ignore", sla.LinAlgWarning)
         lu, piv = sla.lu_factor(a, check_finite=False)
     pivots = np.abs(np.diagonal(lu))
-    if pivots.min() < pivot_rtol * scale:
+    if pivots.min() < PIVOT_RTOL * scale:
         raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below {pivot_rtol:.1e} * |A| = {pivot_rtol * scale:.3e}"
+            f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.1e} * |A| = {PIVOT_RTOL * scale:.3e}"
         )
     return sla.lu_solve((lu, piv), b, check_finite=False)
 
 
-def inverse(a, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
+def inverse(a) -> np.ndarray:
     """A^-1 through :func:`solve` with the identity right-hand side."""
     a = as_matrix(a)
-    return solve(a, np.eye(a.shape[0], dtype=complex), pivot_rtol=pivot_rtol)
+    return solve(a, np.eye(a.shape[0], dtype=complex))
 
 
 def eig_oracle(a) -> SpectralData:
@@ -156,8 +155,7 @@ def eig_oracle(a) -> SpectralData:
 def eigvals_oracle(a) -> np.ndarray:
     """Eigenvalues only (same sort as :func:`eig_oracle`), from LAPACK
     ``zgeev``: an oracle independent of the Schur form every contour
-    quantity is computed in, used by tests, benchmark checks,
-    :func:`contour.enclosed_count` and the CLI's default circles and
+    quantity is computed in, used by tests, benchmark checks and the CLI's
     holomorphy base point."""
     a = as_matrix(a)
     try:

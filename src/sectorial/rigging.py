@@ -44,12 +44,6 @@ class Rigging:
         psi = np.asarray(psi, dtype=complex)
         return float(np.linalg.norm(self.factor @ psi))
 
-    def minus_norm(self, eta) -> float:
-        """|eta|_- = sqrt(eta* (h+)^-1 eta)."""
-        eta = np.asarray(eta, dtype=complex)
-        return float(np.linalg.norm(sla.solve_triangular(
-            self.factor.conj().T, eta, lower=True, check_finite=False)))
-
     def to_plus_frame(self, t) -> np.ndarray:
         """L^-* T L^-1: the matrix of the form in the h+ orthonormal frame."""
         t = as_matrix(t)

@@ -24,6 +24,7 @@ from .errors import (
     NotNormalizedPairError,
 )
 DIM_CAP = 2048
+PAIR_TOL = 1e-8  # how far <eta, phi> of a density's pair may sit from 1
 
 
 @dataclass(frozen=True)
@@ -384,20 +385,19 @@ def _transition_matrix(space: ManyBodySpace, phi, eta) -> np.ndarray:
     return total
 
 
-def charge_current_from_pair(space: ManyBodySpace, grid: Grid, phi, eta, a,
-                             pair_tol: float = 1e-8):
+def charge_current_from_pair(space: ManyBodySpace, grid: Grid, phi, eta, a):
     """Charge density and link current of a normalized eigenpair.
 
     rho is a per-site density (sum_j rho_j delta^d = N); J lives on directed
     links and is the field gradient of the energy per unit volume, i.e. the
     discrete counterpart of 2 A rho plus the antisymmetric covariant-gradient
-    bilinear.  Requires <eta, phi> = 1 to ``pair_tol``.
+    bilinear.  Requires <eta, phi> = 1 to PAIR_TOL.
     """
     a = np.asarray(a, dtype=complex).reshape((grid.d,) + grid.shape)
     phi = np.asarray(phi, dtype=complex).reshape(space.dim)
     eta = np.asarray(eta, dtype=complex).reshape(space.dim)
     overlap = complex(eta.conj() @ phi)
-    if abs(overlap - 1.0) > pair_tol:
+    if abs(overlap - 1.0) > PAIR_TOL:
         raise NotNormalizedPairError(f"<eta, phi> = {overlap:.2e} is not 1")
     g = _transition_matrix(space, phi, eta)
     vol = grid.delta**grid.d

@@ -182,8 +182,7 @@ def free_energy_path(betas, t, sector: Sector, z_floor_factor: float = 1e-12):
     return zs, fs
 
 
-def duhamel_first_order(beta: complex, h, t_dir, sector: Sector | None = None,
-                        margin: float = 0.05) -> np.ndarray:
+def duhamel_first_order(beta: complex, h, t_dir, sector: Sector | None = None) -> np.ndarray:
     """First-order response integral_0^1 e^{-s beta H} (-beta T) e^{-(1-s) beta H} ds.
 
     Equals the directional derivative of eps -> e^{-beta (H + eps T)} at 0,
@@ -201,7 +200,7 @@ def duhamel_first_order(beta: complex, h, t_dir, sector: Sector | None = None,
     if not np.any(t_dir):
         return np.zeros_like(h)
     if sector is None:
-        sector = fit_sector(numerical_range(h, RANGE_NODES), margin=margin)
+        sector = fit_sector(numerical_range(h, RANGE_NODES))
     else:
         sector.require_range(h)
     n = h.shape[0]

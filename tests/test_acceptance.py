@@ -15,7 +15,7 @@ from sectorial.cli import run as cli_run
 from sectorial.contour import Circle, riesz_projection, extract_eigenvalue, \
     rank_of_projection
 
-from conftest import rand_complex, rand_hermitian, rand_sectorial
+from conftest import exact_hermitian, rand_complex, rand_hermitian, rand_sectorial
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -88,10 +88,24 @@ def test_criterion_03_riesz_projections():
                 e = extract_eigenvalue(mat, c)
                 worst_eig = max(worst_eig, abs(e - spec[k]))
             checked += 1
-        ok = worst_idem <= 1e-8 and worst_eig <= 1e-8
+        # exactly hermitian input: the diagonal Schur form from eigh
+        rng_h = np.random.default_rng(30)
+        herm_idem = herm_eig = 0.0
+        for _ in range(60):
+            n = int(rng_h.integers(3, 17))
+            mat = exact_hermitian(rng_h, n)
+            spec = numcore.eigvals_oracle(mat)
+            k = int(rng_h.integers(n))
+            gap = np.abs(np.delete(spec, k) - spec[k]).min()
+            c = Circle(complex(spec[k]), 0.4 * gap, 128)
+            p = riesz_projection(mat, c)
+            herm_idem = max(herm_idem, float(np.linalg.norm(p @ p - p, 2)))
+            assert rank_of_projection(p) == 1
+            herm_eig = max(herm_eig, abs(extract_eigenvalue(mat, c) - spec[k]))
+        ok = max(worst_idem, herm_idem) <= 1e-8 and max(worst_eig, herm_eig) <= 1e-8
     report(3, "riesz projections", ok,
-           f"max |P^2-P| = {worst_idem:.2e}, max eig err = {worst_eig:.2e}",
-           t.elapsed, 60.0)
+           f"max |P^2-P| = {worst_idem:.2e}, max eig err = {worst_eig:.2e}; "
+           f"hermitian {herm_idem:.2e}, {herm_eig:.2e}", t.elapsed, 60.0)
 
 
 def test_criterion_04_neumann_series():
@@ -142,10 +156,24 @@ def test_criterion_05_emap_vs_oracle_and_semigroup_law():
                     @ semigroup.emap(b2, mat, sec, check_range=False)
                 worst_law = max(worst_law,
                                 np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(lhs, 2))
-        ok = worst_oracle <= 1e-6 and worst_law <= 1e-8
+        # exactly hermitian input: the diagonal Schur form from eigh
+        rng_h = np.random.default_rng(50)
+        worst_herm = 0.0
+        for _ in range(20):
+            n = int(rng_h.integers(4, 65))
+            mat = exact_hermitian(rng_h, n, lo=0.4, hi=3.0)
+            sec = forms.fit_sector(forms.numerical_range(mat, 128), margin=0.05)
+            room = math.pi / 2 - sec.half_angle
+            for arg, mod in zip([0.0, 0.5 * room, -0.5 * room], [0.6, 1.0, 1.7]):
+                beta = mod * np.exp(1j * arg)
+                e = semigroup.emap(beta, mat, sec, check_range=False)
+                oracle = numcore.expm_oracle(-beta * mat)
+                worst_herm = max(worst_herm,
+                                 np.linalg.norm(e - oracle, 2) / np.linalg.norm(oracle, 2))
+        ok = max(worst_oracle, worst_herm) <= 1e-6 and worst_law <= 1e-8
     report(5, "exponential map", ok,
-           f"max oracle err {worst_oracle:.2e}, max law defect {worst_law:.2e}",
-           t.elapsed, 120.0)
+           f"max oracle err {worst_oracle:.2e} (hermitian {worst_herm:.2e}), "
+           f"max law defect {worst_law:.2e}", t.elapsed, 120.0)
 
 
 def test_criterion_06_thermal_suite():
@@ -225,10 +253,27 @@ def test_criterion_07_hellmann_feynman():
             em = extract_eigenvalue(sch.family(grid, space, base + (-eps) * d), circle)
             fd = (ep - em).real / (2 * eps)
             worst_site = max(worst_site, abs(flat[j].real * grid.delta - fd))
-        ok = worst_dir <= 1e-5 and charge_defect <= 1e-8 and worst_site <= 1e-6
+
+        # a complex field point: H is not hermitian, so the pass takes zgees and
+        # the pair path's triangular substitutions
+        rng_c = np.random.default_rng(70)
+        xc = 0.05 * rng_c.standard_normal(len(dirs)) * (1.0 + 0.3j)
+        spec = numcore.eigvals_oracle(fam(xc))
+        circle = Circle(complex(spec[0]), 0.4 * abs(spec[1] - spec[0]), 64)
+        ws = [w / np.linalg.norm(w) for w in rng_c.standard_normal((10, len(dirs)))]
+        # every derivative first: they share one decomposition of H at xc
+        hfs = [eg.hellmann_feynman(fam, xc, w, circle, dfamily=dfam) for w in ws]
+        worst_complex = 0.0
+        for w, hf in zip(ws, hfs):
+            fd = (extract_eigenvalue(fam(xc + eps * w), circle)
+                  - extract_eigenvalue(fam(xc - eps * w), circle)) / (2 * eps)
+            worst_complex = max(worst_complex, abs(hf - fd) / max(1.0, abs(fd)))
+        ok = max(worst_dir, worst_complex) <= 1e-5 and charge_defect <= 1e-8 \
+            and worst_site <= 1e-6
     report(7, "hellmann-feynman", ok,
-           f"max dir err {worst_dir:.2e}, charge defect {charge_defect:.2e}, "
-           f"max site err {worst_site:.2e}", t.elapsed, 180.0)
+           f"max dir err {worst_dir:.2e} (complex point {worst_complex:.2e}), "
+           f"charge defect {charge_defect:.2e}, max site err {worst_site:.2e}",
+           t.elapsed, 180.0)
 
 
 def test_criterion_08_duhamel():

@@ -275,6 +275,14 @@ def test_exit_2_on_bad_config(tmp_path, capsys):
 
     missing = tmp_path / "nope.json"
     assert run(str(missing)) == 2
+    capsys.readouterr()
+
+    numrange = {"subcommand": "numrange", "matrix": {"demo": "nilpotent"}}
+    for k, bad in enumerate([5, dict(numrange, seed="x"), dict(numrange, seed=-1),
+                             dict(numrange, output_dir=5),
+                             dict(numrange, output_dir=str(tmp_path / "c.json"))]):  # a file
+        assert run(str(write_cfg(tmp_path, f"bad{k}.json", bad))) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
 
 @pytest.mark.parametrize("beta", [{"start": 0.5, "stop": 2.0, "num": 0}, [[0.5]], []])
@@ -289,6 +297,7 @@ def test_thermal_bad_beta_is_config_error(tmp_path, capsys, beta):
 
 
 DIAG = {"matrix": {"demo": "two_level"}}
+LATTICE = {"grid": {"d": 1, "n": 4, "delta": 0.5}}
 CIRCLE = {"type": "circle", "center": [0.0, 0.0], "radius": 0.5}
 POLYLINE = {"type": "polyline", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}
 
@@ -305,6 +314,15 @@ POLYLINE = {"type": "polyline", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]
     ("neumann", dict(DIAG, path={"n_terms": -1})),
     ("track", {"path": {"s": {"start": 0.0, "stop": 1.0, "num": 0}}}),
     ("numrange", dict(DIAG, contour={"nodes": 4})),
+    ("numrange", dict(LATTICE, fields={"u0": "x"})),
+    ("numrange", dict(LATTICE, fields={"v0": ["x", 0, 0, 0]})),
+    ("numrange", dict(LATTICE, fields=5)),
+    ("numrange", dict(LATTICE, fields={"u": [{}, {}, {}, {}]})),
+    ("riesz", dict(DIAG, matrix={"demo": "two_level", "delta": "x"}, contour=CIRCLE)),
+    ("riesz", dict(DIAG, matrix={"demo": ["two_level"]}, contour=CIRCLE)),
+    ("riesz", dict(DIAG, contour=5)),
+    ("thermal", dict(DIAG, beta=1.0, tolerances={"z_floor_factor": "x"})),
+    ("thermal", dict(DIAG, beta=1.0, tolerances={"z_floor_factor": True})),
 ])
 def test_degenerate_counts_are_config_errors(tmp_path, capsys, sub, block):
     cfg = write_cfg(tmp_path, "c.json", dict(block, subcommand=sub, seed=0,

@@ -16,7 +16,6 @@ from sectorial.contour import (
     Polyline,
     QuadratureRule,
     RightBoundary,
-    enclosed_count,
     enclosed_pair,
     extract_eigenvalue,
     low_energy_hamiltonian,
@@ -55,7 +54,6 @@ def oracle_projector(a, inside):
 
 def test_circle_rule_self_test():
     rule = Circle(center=1.0 + 1.0j, radius=0.7, nodes=32).rule()
-    rule.self_test(interior=1.0 + 1.0j)
     assert abs(rule.circulation()) <= 1e-12
     assert rule.winding(1.2 + 0.9j) == pytest.approx(1.0, abs=1e-10)
     assert abs(rule.winding(3.0)) <= 1e-8
@@ -64,7 +62,7 @@ def test_circle_rule_self_test():
 def test_polyline_rule_self_test():
     tri = Polyline(vertices=(0.0, 2.0, 1.0 + 2.0j), order=16, panels=4)
     rule = tri.rule()
-    rule.self_test(interior=tri.interior_hint())
+    assert abs(rule.circulation()) <= 1e-10
     assert rule.winding(1.0 + 0.5j) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -193,11 +191,12 @@ def test_extract_degenerate_enclosure():
         extract_eigenvalue(np.diag([3.0, 3.5]), Circle(3.25, 2.0, 256))
 
 
-def test_trapezoid_extraction_converges_geometrically():
+def test_trapezoid_extraction_converges_geometrically(monkeypatch):
+    monkeypatch.setattr(contour, "CLEARANCE_FACTOR", 1.0)
     a = np.diag([0.0, 1.3]).astype(complex)
     errs = []
     for m in (16, 32, 64):
-        e = extract_eigenvalue(a, Circle(0.0, 0.55, m), clearance_factor=1.0)
+        e = extract_eigenvalue(a, Circle(0.0, 0.55, m))
         errs.append(abs(e))
     assert errs[1] <= errs[0] * 0.7**16
     assert errs[2] <= max(errs[1], 1e-13)
@@ -307,6 +306,12 @@ def test_right_boundary_triangle_spacing_clears(order, monkeypatch):
         dmin = min(contour._segment_spectrum_distance(p0, p1, spec)
                    for p0, p1 in zip(verts, verts[1:] + verts[:1]))
         assert built[-1].rule().max_spacing() * contour.CLEARANCE_FACTOR <= dmin
+
+
+def enclosed_count(a, contour) -> int:
+    """Number of eigenvalues (oracle, with multiplicity) the contour winds around."""
+    rule = contour.rule()
+    return int(sum(int(round(rule.winding(z).real)) for z in numcore.eigvals_oracle(a)))
 
 
 def test_enclosed_count(rng):
@@ -713,7 +718,7 @@ def test_chunk_nodes_bound_the_chunk_bytes():
 
 def pair_reference(a, c):
     """(rank_one_decompose(P), Tr AP) from the full projection P and AP."""
-    p, ap, _ = contour.spectral_pair(a, c)
+    p, ap = contour.spectral_pair(a, c)
     return eigenstate.rank_one_decompose(p), complex(np.trace(ap))
 
 
@@ -802,20 +807,23 @@ def test_enclosed_pair_rejects_probes_orthogonal_to_the_pair(rng, monkeypatch):
 
 def test_enclosed_pair_residual_check_rejects_an_inaccurate_rule(monkeypatch):
     a = np.diag([0.0, 1.3]).astype(complex)
-    # 8 trapezoid nodes leave Tr P within trace_tol of 1 but phi off by ~1e-3
+    # 8 trapezoid nodes leave Tr P within TRACE_TOL of 1 but phi off by ~1e-3
     c = Circle(0.0, 0.55, 8)
     use_probes(monkeypatch, np.ones(2), np.ones(2))
+    monkeypatch.setattr(contour, "CLEARANCE_FACTOR", 0.0)
     with pytest.raises(RankNotOneError, match="residuals"):
-        enclosed_pair(a, c, clearance_factor=0.0)
-    phi, _, _, _ = enclosed_pair(a, Circle(0.0, 0.55, 64), clearance_factor=1.0)
+        enclosed_pair(a, c)
+    monkeypatch.setattr(contour, "CLEARANCE_FACTOR", 1.0)
+    phi, _, _, _ = enclosed_pair(a, Circle(0.0, 0.55, 64))
     assert abs(abs(phi[0]) - 1.0) <= 1e-14
 
 
-def test_enclosed_pair_node_on_a_schur_pivot_raises_singular():
+def test_enclosed_pair_node_on_a_schur_pivot_raises_singular(monkeypatch):
+    monkeypatch.setattr(contour, "CLEARANCE_FACTOR", 0.0)
     a = np.diag([0.0, 1.0, 3.0]).astype(complex)
     # node 0 of the 4-node unit circle is exactly 1 + 0j, an eigenvalue
     with pytest.raises(SingularMatrixError, match="Schur pivot") as err:
-        enclosed_pair(a, Circle(0.0, 1.0, 4), clearance_factor=0.0)
+        enclosed_pair(a, Circle(0.0, 1.0, 4))
     assert "node 0 (zeta = 1+0j)" in str(err.value)
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -167,6 +168,17 @@ def test_schur_oracle_failure_keeps_no_entry(rng, monkeypatch):
     for m in (a, b):
         with pytest.raises(NoConvergenceError):
             numcore.schur_oracle(m)
+
+
+def test_compute_modules_bind_no_oracle():
+    # an oracle the compute code can call is no longer independent of it
+    oracles = (numcore.eigvals_oracle, numcore.eig_oracle, numcore.expm_oracle, numcore)
+    bound = [f"{name}.{attr}"
+             for name in ("contour", "semigroup", "eigenstate", "forms", "resolvent",
+                          "rigging", "schrodinger", "holocheck")
+             for attr, value in vars(importlib.import_module(f"sectorial.{name}")).items()
+             if any(value is o for o in oracles)]
+    assert bound == []
 
 
 def test_expm_zero_is_identity():
