@@ -66,6 +66,8 @@ def _bounded(block, key: str, default, kind, least, strict: bool = False):
     value = block.get(key, default) if isinstance(block, dict) else default
     if value is None:
         raise ConfigError(f"missing required config key '{key}'")
+    if kind is int and type(value) is not int:  # a count: not 8.9, "9" or true
+        raise ConfigError(f"'{key}' = {value!r} must be an integer")
     try:
         value = kind(value)
     except (TypeError, ValueError) as exc:
@@ -141,9 +143,9 @@ def _complex_array(data, count: int, what: str) -> np.ndarray:
 def parse_grid(cfg: dict):
     block = _require(cfg, "grid")
     try:
-        grid = schrodinger.Grid(d=int(block["d"]), n=int(block["n"]),
-                                delta=float(block["delta"]))
-        particles = int(block.get("particles", 1))
+        grid = schrodinger.Grid(d=_bounded(block, "d", None, int, 1),
+                                n=_bounded(block, "n", None, int, 1), delta=float(block["delta"]))
+        particles = _bounded(block, "particles", 1, int, 1)
         space = schrodinger.ManyBodySpace(grid=grid, particles=particles)
     except (KeyError, TypeError, ValueError, SectorialError) as exc:
         raise ConfigError(f"bad grid block: {exc}") from exc
@@ -178,8 +180,8 @@ def _beta_list(cfg: dict) -> list[complex]:
     block = _require(cfg, "beta")
     try:
         if isinstance(block, dict):
-            betas = [complex(b) for b in
-                     np.linspace(float(block["start"]), float(block["stop"]), int(block["num"]))]
+            betas = [complex(b) for b in np.linspace(
+                float(block["start"]), float(block["stop"]), _bounded(block, "num", None, int, 1))]
         elif isinstance(block, list):
             betas = [complex(b[0], b[1]) for b in block]
         else:

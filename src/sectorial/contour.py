@@ -256,15 +256,17 @@ def _walk(rule: QuadratureRule, step: int, funcs, terms) -> list:
     return [acc.total() for acc in sums]
 
 
-def resolvent_sums(a: np.ndarray, rule: QuadratureRule, funcs) -> list:
-    """sum_j w_j f(zeta_j) R(zeta_j, A) over the nodes of ``rule``, for each f.
+def resolvent_sums(a: np.ndarray, rule: QuadratureRule, funcs, b=None) -> list:
+    """sum_j w_j f(zeta_j) R(zeta_j, A) over the nodes of ``rule``, for each f;
+    with an operand b, the terms are R(zeta_j, A) b R(zeta_j, A).
 
     The engine behind every full-matrix contour quantity.  A = Z T Z* in
     Schur form (:func:`numcore.schur_oracle`, which returns the
     decomposition a clearance check on the same A just made; diagonal, from
     ``eigh``, for exactly hermitian A), summed by :func:`_walk`, which
     raises SpectrumHitError for a node on a Schur pivot.  Z commutes with
-    the node sum: each total S becomes Z S Z* once, at the end.
+    the node sum: b enters as B = Z* b Z, and each total S becomes Z S Z*
+    once, at the end.
 
     A triangular T costs one triangular inverse per node
     (:func:`_resolvent_nodes`), :func:`_chunk_nodes` nodes at a time, so
@@ -273,18 +275,22 @@ def resolvent_sums(a: np.ndarray, rule: QuadratureRule, funcs) -> list:
     so each term is the vector w_j f(zeta_j) / (t_ii - zeta_j) of the rule's
     scalar filter (Higham, Functions of Matrices, SIAM 2008, ch. 4),
     TRACE_CHUNK_NODES nodes at a time in O(TRACE_CHUNK_NODES * n) memory,
-    and each sum is Z diag(s) Z*.
+    and each sum is Z diag(s) Z*.  R B R takes two products more on a
+    triangular T, one node at a time, and on a diagonal T it is the matrix
+    B_ik / ((t_ii - zeta_j)(t_kk - zeta_j)), O(n^2) (Daleckii-Krein).
     """
     t, z, _ = schur_oracle(a)
     diagonal = _is_diagonal(t)
+    bb = None if b is None else z.conj().T @ b @ z
 
     def terms(chunk, lo):
         inv = _schur_pivots(t, chunk.nodes, lo)[1]
         # column j of 1 / pivots is the diagonal of R(zeta_j, T)
-        return inv.T if diagonal else _resolvent_nodes(t, chunk)
+        rs = inv.T if diagonal else _resolvent_nodes(t, chunk)
+        return rs if bb is None else (r[:, None] * bb * r if diagonal else r @ bb @ r for r in rs)
     sums = _walk(rule, TRACE_CHUNK_NODES if diagonal else _chunk_nodes(t.shape[0]), funcs, terms)
     zh = z.conj().T
-    return [(z * s if diagonal else z @ s) @ zh for s in sums]
+    return [(z * s if s.ndim == 1 else z @ s) @ zh for s in sums]
 
 
 def schur_trace_sum(t, rule: QuadratureRule, funcs) -> list[complex]:
@@ -545,7 +551,8 @@ def low_energy_hamiltonian(a, boundary: RightBoundary,
     supplied sector; the dilation only moves the path away from the spectrum
     and never changes which eigenvalues are enclosed (anything left of the
     line and inside the sector).  Panels per edge are sized from the
-    clearance check, so it passes at any Gauss order.
+    clearance check, at most 512 per edge: a spectrum nearer the path than
+    that count clears raises ContourThroughSpectrumError.
     """
     a = as_matrix(a)
     spec = schur_oracle(a)[2]  # the resolvent pass below reuses the decomposition

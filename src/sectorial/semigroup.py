@@ -12,9 +12,8 @@ engine; :func:`free_energy_path`, which needs only Z = Tr e^{-beta T}, takes
 the Schur form of T once per path and each Z from resolvent traces on the
 same hyperbola.  Each checks its precondition Num T inside
 the sector once, exactly, through :meth:`Sector.require_range` (three top
-eigenvalues).  The Duhamel term is the upper-right block of
-e^{-beta [[H, T], [0, H]]} (Van Loan, IEEE Trans. Automat. Control 23, 1978):
-one :func:`emap` at size 2n, with the sector checked on H.
+eigenvalues).  The Duhamel term is one pass of the same engine on H, with
+T between the two resolvents of each node.
 """
 
 from __future__ import annotations
@@ -186,14 +185,13 @@ def duhamel_first_order(beta: complex, h, t_dir, sector: Sector | None = None) -
     """First-order response integral_0^1 e^{-s beta H} (-beta T) e^{-(1-s) beta H} ds.
 
     Equals the directional derivative of eps -> e^{-beta (H + eps T)} at 0,
-    the upper-right block of e^{-beta [[H, T], [0, H]]} (Van Loan, IEEE Trans.
-    Automat. Control 23, 1978), taken by one :func:`emap` call at size 2n.
-    T is divided by 2^k, k the binary exponent of max |T_ij| kept in the
-    normal range, and the block multiplied back by 2^k, both exactly; the result is linear in T, so
-    D(beta, H, 2T) is 2 D(beta, H, T) bit for bit.  The block has the
-    spectrum of H but not its numerical range, so the sector is fitted to or
-    checked against Num H only: it defaults to a fit of Num H, and a supplied
-    one is checked once to contain Num H (SectorViolationError otherwise).
+    -(1/2 pi i) * integral of e^{-beta zeta} R(zeta, H) T R(zeta, H) d zeta on
+    the hyperbola of :func:`emap` (Higham, Functions of Matrices, SIAM 2008,
+    ch. 3): one :func:`resolvent_sums` pass on H, at size n, with the operand
+    T / 2^k, k the binary exponent of max |T_ij| kept in the normal range,
+    and the sum multiplied back by 2^k, both exactly; so D(beta, H, 2T) is
+    2 D(beta, H, T) bit for bit.  The sector defaults to a fit of Num H; a
+    supplied one is checked once to contain Num H (SectorViolationError).
     """
     h = as_matrix(h)
     t_dir = as_matrix(t_dir)
@@ -203,12 +201,13 @@ def duhamel_first_order(beta: complex, h, t_dir, sector: Sector | None = None) -
         sector = fit_sector(numerical_range(h, RANGE_NODES))
     else:
         sector.require_range(h)
-    n = h.shape[0]
+    beta = complex(beta)
+    rule = _wedge_rule(beta, sector)
     # 2^k near max |T_ij|, kept normal: complex division by a subnormal overflows
     k = min(max(math.frexp(float(np.abs(t_dir).max()))[1], -1021), 1023)
     scale = math.ldexp(1.0, k)
-    block = np.block([[h, t_dir / scale], [np.zeros_like(h), h]])
-    return scale * emap(beta, block, sector, check_range=False)[:n, n:]
+    (total,) = resolvent_sums(h, rule, [lambda z: cmath.exp(-beta * z)], b=t_dir / scale)
+    return scale * total / (-2j * math.pi)
 
 
 def of_norm(t, h0, tol: float = 1e-10) -> float:

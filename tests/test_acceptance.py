@@ -277,21 +277,35 @@ def test_criterion_07_hellmann_feynman():
 
 
 def test_criterion_08_duhamel():
+    def trial(rng, make_h, make_dt):
+        n = int(rng.integers(4, 13))
+        h = make_h(rng, n)
+        dt = make_dt(rng, n)
+        beta = float(rng.uniform(0.5, 1.5))
+        out = semigroup.duhamel_first_order(beta, h, dt)
+        eps = 1e-5
+        fd = (numcore.expm_oracle(-beta * (h + eps * dt))
+              - numcore.expm_oracle(-beta * (h - eps * dt))) / (2 * eps)
+        return np.linalg.norm(out - fd, 2) / np.linalg.norm(fd, 2)
+
     rng = np.random.default_rng(8)
-    worst = 0.0
+    # exactly hermitian H (a diagonal Schur form) and sectorial H with complex
+    # T (a triangular one), each from its own generator
+    rng_h, rng_s = np.random.default_rng(81), np.random.default_rng(82)
+    worst = worst_h = worst_s = 0.0
     with Timer() as t:
         for _ in range(20):
-            n = int(rng.integers(4, 13))
-            h = rand_hermitian(rng, n, lo=0.3, hi=2.5)
-            dt = rand_hermitian(rng, n, lo=-1.0, hi=1.0)
-            beta = float(rng.uniform(0.5, 1.5))
-            out = semigroup.duhamel_first_order(beta, h, dt)
-            eps = 1e-5
-            fd = (numcore.expm_oracle(-beta * (h + eps * dt))
-                  - numcore.expm_oracle(-beta * (h - eps * dt))) / (2 * eps)
-            worst = max(worst, np.linalg.norm(out - fd, 2) / np.linalg.norm(fd, 2))
-        ok = worst <= 1e-5
-    report(8, "duhamel first order", ok, f"max rel err {worst:.2e}", t.elapsed, 30.0)
+            worst = max(worst, trial(rng, lambda r, n: rand_hermitian(r, n, lo=0.3, hi=2.5),
+                                     lambda r, n: rand_hermitian(r, n, lo=-1.0, hi=1.0)))
+        for _ in range(20):
+            worst_h = max(worst_h, trial(rng_h, lambda r, n: exact_hermitian(r, n, lo=0.3, hi=2.5),
+                                         lambda r, n: rand_hermitian(r, n, lo=-1.0, hi=1.0)))
+        for _ in range(20):
+            worst_s = max(worst_s, trial(rng_s, rand_sectorial, rand_complex))
+        ok = max(worst, worst_h, worst_s) <= 1e-5
+    report(8, "duhamel first order", ok,
+           f"max rel err {worst:.2e} (exactly hermitian {worst_h:.2e}, sectorial {worst_s:.2e})",
+           t.elapsed, 30.0)
 
 
 def test_criterion_09_holomorphy_harness():

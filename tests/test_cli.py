@@ -300,6 +300,8 @@ DIAG = {"matrix": {"demo": "two_level"}}
 LATTICE = {"grid": {"d": 1, "n": 4, "delta": 0.5}}
 CIRCLE = {"type": "circle", "center": [0.0, 0.0], "radius": 0.5}
 POLYLINE = {"type": "polyline", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}
+SQUARE = {"type": "polyline", "vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}
+INVERTIBLE = {"dim": 2, "entries": [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.0, 0.0]]}
 
 
 @pytest.mark.parametrize("sub, block", [
@@ -323,6 +325,18 @@ POLYLINE = {"type": "polyline", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]
     ("riesz", dict(DIAG, contour=5)),
     ("thermal", dict(DIAG, beta=1.0, tolerances={"z_floor_factor": "x"})),
     ("thermal", dict(DIAG, beta=1.0, tolerances={"z_floor_factor": True})),
+    # a count is a JSON integer: not truncated from a float, parsed from a string or a bool
+    ("numrange", dict(DIAG, contour={"nodes": 8.9})),
+    ("numrange", dict(DIAG, contour={"nodes": "9"})),
+    ("riesz", dict(DIAG, contour=dict(SQUARE, panels=8.0))),
+    ("riesz", dict(DIAG, contour=dict(SQUARE, order=16.0))),
+    ("holocheck", dict(DIAG, path={"slices": True})),
+    ("neumann", {"matrix": INVERTIBLE, "perturbation": INVERTIBLE, "path": {"n_terms": 4.5}}),
+    ("track", dict(LATTICE, path={"s": {"start": 0.0, "stop": 1.0, "num": 2.5}})),
+    ("thermal", dict(DIAG, beta={"start": 0.5, "stop": 2.0, "num": 2.7})),
+    ("numrange", {"grid": {"d": 1, "n": 4.9, "delta": 0.5}}),
+    ("numrange", {"grid": {"d": True, "n": 4, "delta": 0.5}}),
+    ("numrange", {"grid": {"d": 1, "n": 4, "delta": 0.5, "particles": 1.0}}),
 ])
 def test_degenerate_counts_are_config_errors(tmp_path, capsys, sub, block):
     cfg = write_cfg(tmp_path, "c.json", dict(block, subcommand=sub, seed=0,

@@ -497,6 +497,33 @@ def test_engine_matches_dense_solve_reference(rng):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
 
 
+def test_engine_operand_matches_per_node_solves(rng, monkeypatch):
+    # sum_j w_j f(zeta_j) R b R against a dense solve per node: a non-normal A
+    # (triangular Schur form) and an exactly hermitian one (diagonal, no resolvent)
+    nonnormal = np.diag(np.arange(6.0)) + 0.5 * rand_complex(rng, 6)
+    cases = {"triangular T": (nonnormal, Circle(1.0, 1.7, 64)),
+             "diagonal T": (exact_hermitian(rng, 6, lo=0.0, hi=5.0), Circle(1.0, 1.7, 64))}
+    funcs = [lambda z: 1.0, lambda z: cmath.exp(-0.7 * z)]
+    eye = np.eye(6, dtype=complex)
+    resolvents = count_calls(monkeypatch, contour._resolvent_nodes)
+    for name, (a, c) in cases.items():
+        rule = c.rule()
+        b = rand_complex(rng, 6)
+        res = [numcore.solve(a - z * eye, eye) for z in rule.nodes]
+        refs = [numcore.pairwise_sum([w * f(z) * (r @ b @ r)
+                                      for z, w, r in zip(rule.nodes, rule.weights, res)])
+                for f in funcs]
+        resolvents.clear()
+        got = contour.resolvent_sums(a, rule, funcs, b=b)
+        assert bool(resolvents) == (name == "triangular T"), name
+        for s, ref in zip(got, refs):
+            assert np.linalg.norm(ref) > 0.1, name
+            assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref), name
+        # B = Z* b Z and every product scale exactly: linear in b bit for bit
+        for s2, s in zip(contour.resolvent_sums(a, rule, funcs, b=2 * b), got):
+            assert same_bits(s2, 2 * s), name
+
+
 def test_engine_node_on_eigenvalue_raises_singular():
     rule = QuadratureRule(np.array([2.0, 1.0 + 0j]), np.ones(2, dtype=complex), closed=False)
     # hermitian (a diagonal Schur form) and not (a triangular one)

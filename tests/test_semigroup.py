@@ -14,7 +14,8 @@ from sectorial.errors import (
 )
 from sectorial.forms import Sector, fit_sector, numerical_range
 
-from conftest import count_decompositions, rand_complex, rand_hermitian, rand_sectorial
+from conftest import (count_decompositions, exact_hermitian, rand_complex, rand_hermitian,
+                      rand_sectorial)
 
 
 def fitted(t, margin=0.05):
@@ -273,9 +274,7 @@ def test_duhamel_commuting_closed_form(rng):
 
 
 def test_duhamel_matches_finite_difference(rng, monkeypatch):
-    calls = []
-    emap = semigroup.emap
-    monkeypatch.setattr(semigroup, "emap", lambda *a, **k: calls.append(1) or emap(*a, **k))
+    calls = count_decompositions(monkeypatch)
     h = rand_hermitian(rng, 8, lo=0.3, hi=2.0)
     cases = [(1.0, h, rand_hermitian(rng, 8, lo=-1.0, hi=1.0), fitted(h))]
     # non-normal H, non-hermitian T, complex beta at +-room/2
@@ -288,6 +287,9 @@ def test_duhamel_matches_finite_difference(rng, monkeypatch):
         n = h.shape[0]
         calls.clear()
         out = semigroup.duhamel_first_order(beta, h, t, sector=sec)
+        # one decomposition, of H at size n, kept: e^{-beta H} after it decomposes nothing
+        assert len(calls) == 1 and calls[0][1].shape == (n, n) and np.array_equal(calls[0][1], h)
+        semigroup.emap(beta, h, sec)
         assert len(calls) == 1
         eps = 1e-5
         fd = (numcore.expm_oracle(-beta * (h + eps * t))
@@ -300,6 +302,19 @@ def test_duhamel_matches_finite_difference(rng, monkeypatch):
         # a subnormal T keeps its last bits and does not overflow in the rescale
         tiny = semigroup.duhamel_first_order(beta, h, 1e-310 * t, sector=sec)
         assert np.abs(tiny - 1e-310 * out).max() <= 1e-10 * np.abs(1e-310 * out).max()
+
+
+@pytest.mark.parametrize("make, kind", [(exact_hermitian, "eigh"), (rand_sectorial, "schur")],
+                         ids=["exactly_hermitian", "sectorial"])
+def test_duhamel_at_n_128_matches_the_block_oracle(rng, monkeypatch, make, kind):
+    n, beta = 128, 0.8
+    h, t = make(rng, n), rand_complex(rng, n)
+    calls = count_decompositions(monkeypatch)
+    out = semigroup.duhamel_first_order(beta, h, t)
+    # the one decomposition is of H at size n: eigh (a diagonal Schur form) for exactly hermitian H
+    assert [(k, a.shape) for k, a in calls] == [(kind, (n, n))]
+    block = numcore.expm_oracle(-beta * np.block([[h, t], [np.zeros_like(h), h]]))[:n, n:]
+    assert np.linalg.norm(out - block, 2) <= 1e-11 * np.linalg.norm(block, 2)
 
 
 def test_duhamel_checks_supplied_sector(rng):
