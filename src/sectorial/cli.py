@@ -8,13 +8,21 @@ at a fixed BLAS thread count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
 machine-readable error object goes to stderr).
+
+Every config value is read once, by :func:`_read`, which checks its JSON type
+and never converts it: a count is a JSON integer, a real a finite JSON number
+(not a bool, NaN or Infinity), a complex value an [re, im] pair of reals, text
+a string, and a block that is present an object.  A value of another type, or
+below its bound, is a ConfigError naming its key.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -53,141 +61,147 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"missing required config key '{key}'")
-    return cfg[key]
+_REAL = {int, float}  # the types json gives a number; true and false are bools
 
 
-def _bounded(block, key: str, default, kind, least, strict: bool = False):
-    """``block[key]`` as ``kind`` (``default`` when ``block`` is not an object
-    or lacks the key; required when ``default`` is None), at least ``least``
-    (above it when ``strict``); ConfigError otherwise."""
-    value = block.get(key, default) if isinstance(block, dict) else default
-    if value is None:
-        raise ConfigError(f"missing required config key '{key}'")
-    if kind is int and type(value) is not int:  # a count: not 8.9, "9" or true
-        raise ConfigError(f"'{key}' = {value!r} must be an integer")
+def _finite(values: list) -> np.ndarray | None:
+    """``values`` as a float array when each is a finite JSON number, else None."""
+    if not set(map(type, values)) <= _REAL:
+        return None
     try:
-        value = kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad '{key}': {exc}") from exc
-    if not (value > least if strict else value >= least):
+        arr = np.array(values, dtype=float)
+    except OverflowError:  # an integer past the float range
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def _pairs(values: list) -> np.ndarray | None:
+    """``values`` as a complex array when each is an [re, im] pair of finite
+    JSON numbers, else None; the bits are those of complex(re, im)."""
+    if set(map(type, values)) <= {list} and set(map(len, values)) <= {2}:
+        arr = _finite(list(chain.from_iterable(values)))
+        if arr is not None:
+            return arr.view(complex)
+    return None
+
+
+_KINDS = {  # kind: (the value read, or None for a value of another type; what it must be)
+    "count": (lambda v: v if type(v) is int else None, "an integer"),
+    "real": (lambda v: None if (a := _finite([v])) is None else a[0].item(), "a finite number"),
+    "complex": (lambda v: None if (a := _pairs([v])) is None else a[0].item(),
+                "an [re, im] pair of finite numbers"),
+    "text": (lambda v: v if type(v) is str else None, "a string"),
+    "object": (lambda v: v if type(v) is dict else None, "an object"),
+    "real list": (lambda v: _finite(v) if type(v) is list else None, "a list of finite numbers"),
+    "complex list": (lambda v: _pairs(v) if type(v) is list else None,
+                     "a list of [re, im] pairs of finite numbers"),
+}
+
+
+def _read(block: dict, key: str, kind: str, default=None, least=None, strict: bool = False):
+    """``block[key]`` read as ``kind`` (``default`` when the key is absent;
+    required when ``default`` is None), at least ``least`` (above it when
+    ``strict``).  The JSON type is checked, never converted: a real is read
+    as a float, a pair as a complex, a list as an array.  Otherwise a
+    ConfigError naming ``key``."""
+    if key not in block:
+        if default is None:
+            raise ConfigError(f"missing required config key '{key}'")
+        return default
+    read, what = _KINDS[kind]
+    value = read(block[key])
+    if value is None:
+        raise ConfigError(f"'{key}' must be {what}, got {reprlib.repr(block[key])}")
+    if least is not None and not (value > least if strict else value >= least):
         raise ConfigError(f"'{key}' = {value} must be {'>' if strict else '>='} {least}")
     return value
 
 
-def parse_matrix(cfg: dict) -> np.ndarray:
-    block = _require(cfg, "matrix")
-    if isinstance(block, dict) and "demo" in block:
-        name = block["demo"]
-        if not isinstance(name, str) or name not in DEMO_MATRICES:
+def _build(cls, **fields):
+    """``cls(**fields)``, with the constructor's rejection as a ConfigError."""
+    try:
+        return cls(**fields)
+    except (ValueError, SectorialError) as exc:
+        raise ConfigError(f"bad {cls.__name__}: {exc}") from exc
+
+
+def parse_matrix(cfg: dict, key: str = "matrix") -> np.ndarray:
+    """A demo matrix, or ``{"dim": n, "entries": [[re, im], ...]}`` row-major."""
+    block = _read(cfg, key, "object")
+    if "demo" in block:
+        name = _read(block, "demo", "text")
+        if name not in DEMO_MATRICES:
             raise ConfigError(f"unknown demo matrix '{name}'")
         m = DEMO_MATRICES[name].copy()
-        if name == "two_level" and "delta" in block:
-            try:
-                m[1, 1] = float(block["delta"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad 'delta': {exc}") from exc
+        if name == "two_level":
+            m[1, 1] = _read(block, "delta", "real", 1.0)
         return m
-    try:
-        return numcore.matrix_from_json(block)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad matrix block: {exc}") from exc
+    n = _read(block, "dim", "count", least=1)
+    entries = _read(block, "entries", "complex list")
+    if entries.size != n * n:
+        raise ConfigError(f"'entries': expected {n * n} entries, got {entries.size}")
+    return entries.reshape(n, n)
 
 
-def parse_sector(block: dict) -> Sector:
-    try:
-        return Sector(vertex=float(block["vertex"]), half_angle=float(block["half_angle"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sector block: {exc}") from exc
+def parse_sector(cfg: dict) -> Sector:
+    block = _read(cfg, "sector", "object")
+    return _build(Sector, vertex=_read(block, "vertex", "real"),
+                  half_angle=_read(block, "half_angle", "real"))
 
 
 def parse_contour(cfg: dict, default=None):
-    block = cfg.get("contour")
-    if block is None:
-        if default is not None:
-            return default
-        raise ConfigError("missing required config key 'contour'")
-    if not isinstance(block, dict):
-        raise ConfigError("'contour' must be an object")
-    kind = block.get("type")
-    try:
-        if kind == "circle":
-            c = block["center"]
-            return Circle(center=complex(c[0], c[1]),
-                          radius=_bounded(block, "radius", None, float, 0.0, strict=True),
-                          nodes=_bounded(block, "nodes", 128, int, 2))
-        if kind == "polyline":
-            verts = tuple(complex(v[0], v[1]) for v in block["vertices"])
-            return Polyline(vertices=verts, order=_bounded(block, "order", 16, int, 1),
-                            panels=_bounded(block, "panels", 8, int, 1))
-        if kind == "right_boundary":
-            return RightBoundary(abscissa=float(block["abscissa"]),
-                                 sector=parse_sector(block["sector"]))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad contour block: {exc}") from exc
+    if default is not None and "contour" not in cfg:
+        return default
+    block = _read(cfg, "contour", "object")
+    kind = _read(block, "type", "text")
+    if kind == "circle":
+        return Circle(center=_read(block, "center", "complex"),
+                      radius=_read(block, "radius", "real", least=0.0, strict=True),
+                      nodes=_read(block, "nodes", "count", 128, least=2))
+    if kind == "polyline":
+        return _build(Polyline, vertices=tuple(_read(block, "vertices", "complex list").tolist()),
+                      order=_read(block, "order", "count", 16, least=1),
+                      panels=_read(block, "panels", "count", 8, least=1))
+    if kind == "right_boundary":
+        return RightBoundary(abscissa=_read(block, "abscissa", "real"), sector=parse_sector(block))
     raise ConfigError(f"unknown contour type '{kind}'")
 
 
-def _complex_array(data, count: int, what: str) -> np.ndarray:
-    try:
-        arr = np.array([complex(p[0], p[1]) for p in data], dtype=complex)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ConfigError(f"{what}: expected a list of [re, im] pairs") from exc
-    if arr.size != count:
-        raise ConfigError(f"{what}: expected {count} entries, got {arr.size}")
-    return arr
-
-
 def parse_grid(cfg: dict):
-    block = _require(cfg, "grid")
-    try:
-        grid = schrodinger.Grid(d=_bounded(block, "d", None, int, 1),
-                                n=_bounded(block, "n", None, int, 1), delta=float(block["delta"]))
-        particles = _bounded(block, "particles", 1, int, 1)
-        space = schrodinger.ManyBodySpace(grid=grid, particles=particles)
-    except (KeyError, TypeError, ValueError, SectorialError) as exc:
-        raise ConfigError(f"bad grid block: {exc}") from exc
-    return grid, space
+    block = _read(cfg, "grid", "object")
+    grid = _build(schrodinger.Grid, d=_read(block, "d", "count", least=1),
+                  n=_read(block, "n", "count", least=1), delta=_read(block, "delta", "real"))
+    return grid, _build(schrodinger.ManyBodySpace, grid=grid,
+                        particles=_read(block, "particles", "count", 1, least=1))
 
 
-def parse_fields(cfg_block, grid) -> schrodinger.FieldConfig:
-    block = cfg_block or {}
-    if not isinstance(block, dict):
-        raise ConfigError("a fields block must be an object")
-    base = schrodinger.FieldConfig.zero(grid)
-    links = grid.d * grid.sites
+def parse_fields(cfg: dict, key: str, grid) -> schrodinger.FieldConfig:
+    """The fields block ``cfg[key]``; an absent block or field is zero."""
+    block = _read(cfg, key, "object", {})
 
-    def pick(name, count, current):
-        if name not in block:
-            return current
-        return _complex_array(block[name], count, name)
+    def pick(name, count, kind="complex list"):
+        values = _read(block, name, kind, np.zeros(count))
+        if values.size != count:
+            raise ConfigError(f"'{name}': expected {count} entries, got {values.size}")
+        return values
 
-    u = pick("u", grid.sites, base.u)
-    a = pick("a", links, base.a.reshape(-1)).reshape((grid.d,) + grid.shape)
-    v = pick("v", grid.sites, base.v.reshape(-1)).reshape(grid.shape)
-    f = pick("f", grid.sites, base.f)
-    try:
-        u0 = np.asarray(block.get("u0", np.zeros(grid.sites)), dtype=float)
-        v0 = np.asarray(block.get("v0", np.zeros(grid.sites)), dtype=float).reshape(grid.shape)
-        return schrodinger.FieldConfig(grid=grid, u=u, a=a, v=v, f=f, u0=u0, v0=v0)
-    except (TypeError, ValueError, SectorialError) as exc:
-        raise ConfigError(f"bad fields block: {exc}") from exc
+    return _build(schrodinger.FieldConfig, grid=grid, u=pick("u", grid.sites),
+                  a=pick("a", grid.d * grid.sites), v=pick("v", grid.sites),
+                  f=pick("f", grid.sites), u0=pick("u0", grid.sites, "real list"),
+                  v0=pick("v0", grid.sites, "real list"))
 
 
 def _beta_list(cfg: dict) -> list[complex]:
-    block = _require(cfg, "beta")
-    try:
-        if isinstance(block, dict):
-            betas = [complex(b) for b in np.linspace(
-                float(block["start"]), float(block["stop"]), _bounded(block, "num", None, int, 1))]
-        elif isinstance(block, list):
-            betas = [complex(b[0], b[1]) for b in block]
-        else:
-            betas = [complex(float(block))]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad beta block: {exc}") from exc
+    """``beta``: a real, a list of [re, im] pairs, or {start, stop, num}."""
+    block = cfg.get("beta")
+    if isinstance(block, dict):
+        betas = [complex(b) for b in np.linspace(
+            _read(block, "start", "real"), _read(block, "stop", "real"),
+            _read(block, "num", "count", least=1))]
+    elif isinstance(block, list):
+        betas = _read(cfg, "beta", "complex list").tolist()
+    else:
+        betas = [complex(_read(cfg, "beta", "real"))]
     if not betas:
         raise ConfigError("beta block gives no beta values")
     return betas
@@ -200,13 +214,13 @@ def _input_matrix(cfg) -> np.ndarray:
     matrix block."""
     if "grid" in cfg:
         grid, space = parse_grid(cfg)
-        return schrodinger.family(grid, space, parse_fields(cfg.get("fields"), grid))
+        return schrodinger.family(grid, space, parse_fields(cfg, "fields", grid))
     return parse_matrix(cfg)
 
 
 def run_numrange(cfg, outdir: Path, tol: dict, seed: int) -> dict:
     matrix = _input_matrix(cfg)
-    nodes = _bounded(cfg.get("contour"), "nodes", 256, int, 8)
+    nodes = _read(_read(cfg, "contour", "object", {}), "nodes", "count", 256, least=8)
     boundary = forms.numerical_range(matrix, nodes)
     rows = [[th, p.real, p.imag, s]
             for th, p, s in zip(boundary.angles, boundary.points, boundary.support)]
@@ -246,22 +260,19 @@ def _lattice_circle(matrix) -> Circle:
 
 
 def _track_inputs(cfg):
-    path_block = cfg["path"] if isinstance(cfg.get("path"), dict) else {}
-    sblock = path_block.get("s", {"start": 0.0, "stop": 1.0, "num": 11})
-    num = _bounded(sblock, "num", None, int, 1)
-    try:
-        svals = np.linspace(float(sblock["start"]), float(sblock["stop"]), num)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad path.s block: {exc}") from exc
-    if path_block.get("demo") == "diag" or "grid" not in cfg:
+    path = _read(cfg, "path", "object", {})
+    span = _read(path, "s", "object", {"start": 0.0, "stop": 1.0, "num": 11})
+    svals = np.linspace(_read(span, "start", "real"), _read(span, "stop", "real"),
+                        _read(span, "num", "count", least=1))
+    if path.get("demo") == "diag" or "grid" not in cfg:
         base = np.diag([0.0, 1.0]).astype(complex)
         step = np.diag([0.1, 0.0]).astype(complex)
         fam = lambda s: base + s * step
         default_contour = Circle(center=0.0, radius=0.3, nodes=128)
         return fam, svals, default_contour
     grid, space = parse_grid(cfg)
-    base = parse_fields(cfg.get("fields"), grid)
-    direction = parse_fields(path_block.get("direction"), grid)
+    base = parse_fields(cfg, "fields", grid)
+    direction = parse_fields(path, "direction", grid)
     fam = lambda s: schrodinger.family(grid, space, base + float(s) * direction)
     return fam, svals, _lattice_circle(fam(svals[0]))
 
@@ -282,7 +293,7 @@ def run_track(cfg, outdir: Path, tol: dict, seed: int) -> dict:
 
 def run_density(cfg, outdir: Path, tol: dict, seed: int) -> dict:
     grid, space = parse_grid(cfg)
-    fields = parse_fields(cfg.get("fields"), grid)
+    fields = parse_fields(cfg, "fields", grid)
     matrix = schrodinger.family(grid, space, fields)
     contour = parse_contour(cfg, default=_lattice_circle(matrix))
     rho, current = eigenstate.eigenstate_density(grid, space, fields, contour)
@@ -304,7 +315,7 @@ def run_density(cfg, outdir: Path, tol: dict, seed: int) -> dict:
 def run_thermal(cfg, outdir: Path, tol: dict, seed: int) -> dict:
     matrix = _input_matrix(cfg)
     betas = _beta_list(cfg)
-    sector = parse_sector(cfg["sector"]) if "sector" in cfg else \
+    sector = parse_sector(cfg) if "sector" in cfg else \
         forms.fit_sector(forms.numerical_range(matrix, semigroup.RANGE_NODES), margin=0.05)
     zs, fs = semigroup.free_energy_path(betas, matrix, sector,
                                         z_floor_factor=tol.get("z_floor_factor", 1e-12))
@@ -319,8 +330,9 @@ def run_thermal(cfg, outdir: Path, tol: dict, seed: int) -> dict:
 def run_holocheck(cfg, outdir: Path, tol: dict, seed: int) -> dict:
     matrix = _input_matrix(cfg)
     n = matrix.shape[0]
-    slices = _bounded(cfg.get("path"), "slices", 5, int, 1)
-    radius = _bounded(cfg.get("path"), "radius", 1e-2, float, 0.0, strict=True)
+    path = _read(cfg, "path", "object", {})
+    slices = _read(path, "slices", "count", 5, least=1)
+    radius = _read(path, "radius", "real", 1e-2, least=0.0, strict=True)
     spec = numcore.eigvals_oracle(matrix)
     zeta0 = complex(spec.real.min() - 1.0 - abs(spec.imag).max() * 1j - 1.0j)
     rng = np.random.default_rng(seed)
@@ -352,13 +364,9 @@ def run_holocheck(cfg, outdir: Path, tol: dict, seed: int) -> dict:
 
 
 def run_neumann(cfg, outdir: Path, tol: dict, seed: int) -> dict:
-    h = parse_matrix({"matrix": _require(cfg, "matrix")})
-    t_block = cfg.get("perturbation")
-    if t_block is None:
-        t = 0.4 * h
-    else:
-        t = parse_matrix({"matrix": t_block})
-    n_terms = _bounded(cfg.get("path"), "n_terms", 40, int, 0)
+    h = parse_matrix(cfg)
+    t = parse_matrix(cfg, "perturbation") if "perturbation" in cfg else 0.4 * h
+    n_terms = _read(_read(cfg, "path", "object", {}), "n_terms", "count", 40, least=0)
     rg = rigging.make_h_plus(h)
     result = resolvent.neumann_resolvent(h, t, rg, n_terms)
     direct = numcore.inverse(h + t)
@@ -388,26 +396,20 @@ def run(config_path: str, output_dir: str | None = None, seed: int | None = None
     """Execute one config; returns the process exit code."""
     try:
         cfg = json.loads(Path(config_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON
         print(json.dumps({"error": "ConfigError", "message": str(exc)}), file=sys.stderr)
         return 2
     try:
         if not isinstance(cfg, dict):
             raise ConfigError("the config must be a JSON object")
-        sub = _require(cfg, "subcommand")
+        sub = _read(cfg, "subcommand", "text")
         if sub not in SUBCOMMANDS:
             raise ConfigError(f"unknown subcommand '{sub}'")
-        tol = cfg.get("tolerances") or {}
-        if not isinstance(tol, dict):
-            raise ConfigError("'tolerances' must be an object")
-        for key, value in tol.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"tolerance '{key}' = {value!r} must be a real number")
-        run_seed = _bounded({"seed": seed} if seed is not None else cfg, "seed", 0, int, 0)
+        tol = _read(cfg, "tolerances", "object", {})
+        tol = {key: _read(tol, key, "real") for key in tol}
+        run_seed = _read({"seed": seed} if seed is not None else cfg, "seed", "count", 0, least=0)
         if output_dir is None:
-            output_dir = cfg.get("output_dir", ".")
-            if not isinstance(output_dir, str):
-                raise ConfigError("'output_dir' must be a string")
+            output_dir = _read(cfg, "output_dir", "text", ".")
         outdir = Path(output_dir)
         try:
             outdir.mkdir(parents=True, exist_ok=True)

@@ -137,20 +137,15 @@ class Polyline:
     order: int = DEFAULT_GAUSS_ORDER
     panels: tuple | int = 1
 
-    def _panel_counts(self) -> list[int]:
-        nseg = len(self.vertices)
-        if isinstance(self.panels, int):
-            return [self.panels] * nseg
-        counts = list(self.panels)
-        if len(counts) != nseg:
+    def __post_init__(self):
+        if len(self.vertices) < 3:
+            raise ValueError("polyline contour needs at least 3 vertices")
+        if not isinstance(self.panels, int) and len(self.panels) != len(self.vertices):
             raise ValueError("panel list must match the number of edges")
-        return counts
 
     def rule(self) -> QuadratureRule:
         verts = [complex(v) for v in self.vertices]
-        if len(verts) < 3:
-            raise ValueError("polyline contour needs at least 3 vertices")
-        counts = self._panel_counts()
+        counts = [self.panels] * len(verts) if isinstance(self.panels, int) else list(self.panels)
         nodes, weights = [], []
         for k, (a, b) in enumerate(zip(verts, verts[1:] + verts[:1])):
             n, w = gauss_segment(a, b, self.order, counts[k])

@@ -40,9 +40,6 @@ class RankOnePair:
     eta: np.ndarray
     pin: int
 
-    def projection(self) -> np.ndarray:
-        return np.outer(self.phi, self.eta.conj())
-
 
 def _pinned(phi, eta, pin: int | None) -> RankOnePair:
     """The pair with the common phase making phi[pin] real positive; a pin

@@ -249,8 +249,9 @@ def schatten_norm(a, p) -> float:
 
 # -- JSON interchange ---------------------------------------------------------
 #
-# {"dim": n, "entries": [[re, im], ...]} row-major.  Python's json module
-# serializes floats with repr (shortest round-trip), so the cycle is bit-exact.
+# {"dim": n, "entries": [[re, im], ...]} row-major, the CLI's matrix block
+# (read back by cli.parse_matrix).  Python's json module serializes floats with
+# repr (shortest round-trip), so the cycle is bit-exact.
 
 def matrix_to_json(a) -> dict:
     a = as_matrix(a)
@@ -259,12 +260,3 @@ def matrix_to_json(a) -> dict:
         "dim": int(a.shape[0]),
         "entries": [[float(z.real), float(z.imag)] for z in flat],
     }
-
-
-def matrix_from_json(obj) -> np.ndarray:
-    n = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    return flat.reshape(n, n)

@@ -1,12 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sectorial import contour, forms, numcore, semigroup
-from sectorial.cli import main, run, write_csv
+from sectorial.cli import main, parse_matrix, run, write_csv
 
 from conftest import count_decompositions
 
@@ -238,7 +241,7 @@ def test_holocheck_samples_each_slice_once(tmp_path, monkeypatch):
     w = np.diag([0.5, -1.0, 0.25]).astype(complex)
     f = lambda t: rmap(-3.0, t)
     probe = holocheck.weak_probe(3, seed=1)
-    a = numcore.matrix_from_json(mat)
+    a = parse_matrix({"matrix": mat})
     res, coeffs = holocheck.residual_and_coefficients(f, a, w, r=0.01, m=64, probe=probe)
     assert res == holocheck.cauchy_residual(f, a, w, r=0.01, m=64, probe=probe)
     assert np.array_equal(coeffs, holocheck.taylor_coefficients(f, a, w, r=0.01, m=64,
@@ -280,8 +283,17 @@ def test_exit_2_on_bad_config(tmp_path, capsys):
     numrange = {"subcommand": "numrange", "matrix": {"demo": "nilpotent"}}
     for k, bad in enumerate([5, dict(numrange, seed="x"), dict(numrange, seed=-1),
                              dict(numrange, output_dir=5),
-                             dict(numrange, output_dir=str(tmp_path / "c.json"))]):  # a file
+                             dict(numrange, output_dir=str(tmp_path / "c.json")),  # a file
+                             {"subcommand": "track", "path": {"demo": "diag"},
+                              "tolerances": {"gap_floor": math.nan}}]):  # would turn the check off
         assert run(str(write_cfg(tmp_path, f"bad{k}.json", bad))) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+
+    unreadable = tmp_path / "unreadable.json"
+    for blob in (b'{"subcommand": "numrange", "output_dir": "\xe9"}',  # latin-1, not UTF-8
+                 b"[" * 100000 + b"]" * 100000):  # nested past the decoder's recursion limit
+        unreadable.write_bytes(blob)
+        assert run(str(unreadable)) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
 
@@ -337,6 +349,32 @@ INVERTIBLE = {"dim": 2, "entries": [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.0, 0.
     ("numrange", {"grid": {"d": 1, "n": 4.9, "delta": 0.5}}),
     ("numrange", {"grid": {"d": True, "n": 4, "delta": 0.5}}),
     ("numrange", {"grid": {"d": 1, "n": 4, "delta": 0.5, "particles": 1.0}}),
+    # every other value is type-checked too: a real is a finite JSON number, a pair
+    # [re, im] of reals, and a block that is present is an object
+    ("riesz", dict(DIAG, contour=dict(CIRCLE, radius="0.5"))),
+    ("riesz", dict(DIAG, matrix={"demo": "two_level", "delta": "2"}, contour=CIRCLE)),
+    ("thermal", dict(DIAG, beta="1.5")),
+    ("thermal", dict(DIAG, beta={"start": "0.5", "stop": True, "num": 3})),
+    ("thermal", dict(DIAG, beta=[[1.0, 0.0], [True, False]])),
+    ("thermal", dict(DIAG, beta=1.0, sector={"vertex": "-1", "half_angle": "0.3"})),
+    ("riesz", dict(DIAG, contour={"type": "right_boundary", "abscissa": "0.5",
+                                  "sector": {"vertex": -1.0, "half_angle": 0.3}})),
+    ("numrange", {"grid": {"d": 1, "n": 4, "delta": "0.5"}}),
+    ("numrange", dict(LATTICE, fields={"u0": ["1", "1", True, 1]})),
+    ("numrange", dict(LATTICE, fields={"u": [[True, 0], [0, 0], [0, 0], [0, 0]]})),
+    ("numrange", {"matrix": dict(INVERTIBLE, dim=2.0)}),
+    ("numrange", {"matrix": {"dim": 2, "entries": [[True, False], [False, False],
+                                                   [False, False], [True, False]]}}),
+    ("holocheck", dict(DIAG, path=[3, 0.5])),
+    ("numrange", dict(DIAG, contour=5)),
+    ("track", {"path": "s"}),
+    ("numrange", dict(LATTICE, fields=[])),
+    ("riesz", dict(DIAG, contour={"type": "polyline", "vertices": [[-1, -1], [1, 1]]})),
+    ("riesz", {"matrix": {"dim": 0, "entries": []}, "contour": CIRCLE}),
+    ("numrange", {"matrix": {"dim": 0, "entries": []}}),
+    ("thermal", {"matrix": {"dim": 0, "entries": []}, "beta": 1.0}),
+    ("holocheck", {"matrix": {"dim": 0, "entries": []}}),
+    ("thermal", dict(DIAG, beta={"start": math.nan, "stop": 2.0, "num": 3})),
 ])
 def test_degenerate_counts_are_config_errors(tmp_path, capsys, sub, block):
     cfg = write_cfg(tmp_path, "c.json", dict(block, subcommand=sub, seed=0,
@@ -344,6 +382,22 @@ def test_degenerate_counts_are_config_errors(tmp_path, capsys, sub, block):
     assert run(str(cfg)) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
+
+
+def test_console_entry_reports_a_config_error_without_traceback(tmp_path):
+    # the `python -m sectorial.cli` path: exit code and stderr as a user sees them
+    cfg = write_cfg(tmp_path, "c.json", dict(
+        DIAG, subcommand="riesz", output_dir=str(tmp_path / "out"),
+        contour={"type": "polyline", "vertices": [[-1, -1], [1, 1]]}))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "sectorial.cli", "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
 
 
 def test_thermal_sweeps_range_once(tmp_path, monkeypatch):

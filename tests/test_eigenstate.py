@@ -14,7 +14,7 @@ def test_decompose_orthogonal_projector():
     pair = eg.rank_one_decompose(p)
     assert np.allclose(pair.phi, [1.0, 0.0, 0.0], atol=1e-12)
     assert np.allclose(pair.eta, [1.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(pair.projection(), p, atol=1e-12)
+    assert np.allclose(np.outer(pair.phi, pair.eta.conj()), p, atol=1e-12)
 
 
 def test_decompose_oblique_projector():
@@ -22,7 +22,7 @@ def test_decompose_oblique_projector():
     pair = eg.rank_one_decompose(p)
     assert abs(pair.eta.conj() @ pair.phi - 1.0) <= 1e-12
     assert np.linalg.norm(pair.phi) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(pair.projection(), p, atol=1e-10)
+    assert np.allclose(np.outer(pair.phi, pair.eta.conj()), p, atol=1e-10)
     k = pair.pin
     assert pair.phi[k].imag == pytest.approx(0.0, abs=1e-12)
     assert pair.phi[k].real > 0
@@ -41,7 +41,7 @@ def test_decompose_random_rank_one(rng):
         eta /= np.conj(eta.conj() @ phi)
         p = np.outer(phi, eta.conj())
         pair = eg.rank_one_decompose(p)
-        assert np.linalg.norm(pair.projection() - p, 2) <= 1e-8
+        assert np.linalg.norm(np.outer(pair.phi, pair.eta.conj()) - p, 2) <= 1e-8
 
 
 def test_track_constant_path():

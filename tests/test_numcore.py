@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sectorial import numcore
+from sectorial import cli, numcore
 from sectorial.errors import InvalidPError, NoConvergenceError, OverflowError_, SingularMatrixError
 
 from conftest import count_decompositions, exact_hermitian, rand_complex, rand_hermitian
@@ -271,9 +271,10 @@ def test_pairwise_accumulator_empty_raises():
 
 def test_matrix_json_roundtrip_bit_exact(rng):
     a = rand_complex(rng, 7)
+    a[0, 1], a[2, 3] = complex(-0.0, 0.0), complex(0.0, -0.0)
     blob = json.dumps(numcore.matrix_to_json(a))
-    back = numcore.matrix_from_json(json.loads(blob))
-    assert np.array_equal(a, back)
+    back = cli.parse_matrix({"matrix": json.loads(blob)})
+    assert np.array_equal(a.view(np.uint64), back.view(np.uint64))  # signed zeros too
 
 
 def test_matrix_json_shape():
