@@ -264,7 +264,9 @@ def _track_inputs(cfg):
     span = _read(path, "s", "object", {"start": 0.0, "stop": 1.0, "num": 11})
     svals = np.linspace(_read(span, "start", "real"), _read(span, "stop", "real"),
                         _read(span, "num", "count", least=1))
-    if path.get("demo") == "diag" or "grid" not in cfg:
+    if "demo" in path and _read(path, "demo", "text") != "diag":
+        raise ConfigError(f"unknown 'path.demo' {path['demo']!r}; the one demo family is 'diag'")
+    if "demo" in path or "grid" not in cfg:
         base = np.diag([0.0, 1.0]).astype(complex)
         step = np.diag([0.1, 0.0]).astype(complex)
         fam = lambda s: base + s * step

@@ -1,10 +1,11 @@
 """Sesquilinear-form geometry: hermitian splitting, numerical range, sectors.
 
 A form t[phi, psi] = phi* T psi is carried by its dense matrix T.  The
-numerical range boundary is sampled by the rotated-hermitian-part sweep: for
-each angle one top eigenpair of Re(e^{-i phi} T) (a subset ``eigh``, about
-2.5x cheaper than a full one) supplies one boundary point and one support
-value, and convexity of the sampled polygon is a checkable invariant.
+numerical range boundary is sampled by the rotated-hermitian-part sweep: each
+angle's support value and boundary point come from the top eigenpair of
+Re(e^{-i phi} T).  Re(e^{-i(phi+pi)} T) = -Re(e^{-i phi} T), so one tridiagonal
+reduction yields both ends of the spectrum and serves a pair of opposite
+angles; convexity of the sampled polygon is a checkable invariant.
 Containment of Num t in a sector is decided exactly from three support
 values (:meth:`Sector.require_range`).
 """
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import NoConvergenceError, NotSectorialError, SectorViolationError
 from .numcore import as_matrix
@@ -36,13 +37,46 @@ def hermitian_split(t) -> tuple[np.ndarray, np.ndarray]:
     return (t + th) / 2.0, (t - th) / 2.0j
 
 
-def _top_eigh(h: np.ndarray, eigvals_only: bool = False):
-    """Top eigenvalue (and eigenvector) of hermitian h, shaped as ``eigh`` returns them."""
+def _extreme_pairs(h: np.ndarray, vectors: bool = True):
+    """Top and bottom eigenvalue of hermitian h, with unit eigenvectors, from one reduction.
+
+    The steps are those LAPACK ``zheevr`` takes for a one-index subset:
+    ``zhetrd`` to a real tridiagonal, ``dstebz`` bisection for index n and
+    index 1, ``dstein`` inverse iteration for each (with its own split
+    blocks), and one unblocked ``zunmqr`` back-transformation of both vectors.
+    The top pair has the bits of ``scipy.linalg.eigh(h, subset_by_index=[n-1,
+    n-1])``.  Returns ``(top, bottom)``, or ``(top, bottom, v)`` with the top
+    vector in ``v[:, 0]`` and the bottom one in ``v[:, 1]``.
+    """
     n = h.shape[0]
-    try:
-        return sla.eigh(h, eigvals_only=eigvals_only, subset_by_index=[n - 1, n - 1], check_finite=False)
-    except sla.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
+    if n == 1:
+        w = float(h[0, 0].real)
+        return (w, w, np.ones((1, 2), dtype=complex)) if vectors else (w, w)
+    lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
+    c, d, e, tau, info = lapack.zhetrd(h, lower=1, lwork=lwork)
+    _require_converged("zhetrd", info)
+    ends = []
+    for index in (n, 1):
+        _, w, block, split, info = lapack.dstebz(d, e, 2, 0.0, 0.0, index, index, 0.0, "B")
+        _require_converged("dstebz", info)
+        ends.append((w[:1], block, split))
+    top, bottom = (float(w[0]) for w, _, _ in ends)
+    if not vectors:
+        return top, bottom
+    v = np.empty((n, 2), dtype=complex)
+    for j, (w, block, split) in enumerate(ends):
+        z, info = lapack.dstein(d, e, w, block, split)
+        _require_converged("dstein", info)
+        v[:, j] = z[:, 0]
+    # lwork = 2 keeps zunmqr unblocked: it then gives zheevr's bits, the blocked one does not
+    v[1:], _, info = lapack.zunmqr("L", "N", c[1:, :n - 1], tau, v[1:], 2)
+    _require_converged("zunmqr", info)
+    return top, bottom, v
+
+
+def _require_converged(routine: str, info: int) -> None:
+    if info != 0:
+        raise NoConvergenceError(f"LAPACK {routine} returned info={info}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +113,7 @@ class Sector:
         edge = math.pi / 2 + self.half_angle
         excess, support = {}, []
         for side, phi in (("vertex", math.pi), ("upper edge", edge), ("lower edge", -edge)):
-            top = float(_top_eigh(math.cos(phi) * tr + math.sin(phi) * ti, eigvals_only=True)[0])
+            top, _ = _extreme_pairs(math.cos(phi) * tr + math.sin(phi) * ti, vectors=False)
             support.append(abs(top))
             excess[side] = top - self.vertex * math.cos(phi)
         slack = 1e-9 * max(1.0, *support)
@@ -147,6 +181,10 @@ def numerical_range(t, m: int = DEFAULT_NODES) -> NumericalRangeBoundary:
     For each angle phi the top eigenpair (lambda, v) of cos phi T^r + sin phi T^i,
     the hermitian part of e^{-i phi} T, gives the support value lambda and the
     boundary point v*Tv; one product of T with the stacked unit v gives all m.
+    For even m the angles k and k + m/2 are opposite, and the hermitian part at
+    the second is minus that at the first, so one reduction at angle k gives
+    both: its bottom eigenpair, negated, is the top one at k + m/2.  For odd m
+    every angle takes its own reduction.
     """
     t = as_matrix(t)
     if m < 8:
@@ -155,9 +193,12 @@ def numerical_range(t, m: int = DEFAULT_NODES) -> NumericalRangeBoundary:
     angles = 2.0 * math.pi * np.arange(m) / m
     support = np.empty(m)
     tops = np.empty((t.shape[0], m), dtype=complex)
-    for k, phi in enumerate(angles):
-        w, v = _top_eigh(math.cos(phi) * tr + math.sin(phi) * ti)
-        support[k], tops[:, k] = w[0], v[:, 0]
+    own = m // 2 if m % 2 == 0 else m  # the angles that take a reduction of their own
+    for k, phi in enumerate(angles[:own]):
+        top, bottom, v = _extreme_pairs(math.cos(phi) * tr + math.sin(phi) * ti)
+        support[k], tops[:, k] = top, v[:, 0]
+        if own < m:
+            support[k + own], tops[:, k + own] = -bottom, v[:, 1]
     tv = t @ tops  # conjugating tops in place then spares a third n x m array
     points = np.einsum("ik,ik->k", np.conjugate(tops, out=tops), tv)
     return NumericalRangeBoundary(angles=angles, points=points, support=support)

@@ -285,9 +285,13 @@ def test_exit_2_on_bad_config(tmp_path, capsys):
                              dict(numrange, output_dir=5),
                              dict(numrange, output_dir=str(tmp_path / "c.json")),  # a file
                              {"subcommand": "track", "path": {"demo": "diag"},
-                              "tolerances": {"gap_floor": math.nan}}]):  # would turn the check off
+                              "tolerances": {"gap_floor": math.nan}},  # would turn the check off
+                             {"subcommand": "track", "grid": {"d": 1, "n": 4, "delta": 0.5},
+                              "path": {"demo": "dag"}}]):  # was the lattice family
         assert run(str(write_cfg(tmp_path, f"bad{k}.json", bad))) == 2
-        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+    assert "path.demo" in err["message"]
 
     unreadable = tmp_path / "unreadable.json"
     for blob in (b'{"subcommand": "numrange", "output_dir": "\xe9"}',  # latin-1, not UTF-8

@@ -111,14 +111,83 @@ def test_range_segment_points_stay_on_segment():
 
 
 def test_eigh_failure_is_no_convergence(monkeypatch):
-    def fail(*args, **kwargs):
-        raise sla.LinAlgError("eigenvalue iteration did not converge")
+    # a nonzero info from any LAPACK step of the eigen-helper is a typed failure;
+    # require_range takes no eigenvectors, so it runs only the first two steps
+    for routine in ("zhetrd", "dstebz", "dstein", "zunmqr"):
+        step = getattr(forms.lapack, routine)
+        with monkeypatch.context() as mp:
+            mp.setattr(forms.lapack, routine, lambda *a, step=step, **k: (*step(*a, **k)[:-1], 1))
+            with pytest.raises(NoConvergenceError, match=routine):
+                forms.numerical_range(np.eye(2), 8)
+            if routine in ("zhetrd", "dstebz"):
+                with pytest.raises(NoConvergenceError, match=routine):
+                    forms.Sector(vertex=0.0, half_angle=0.5).require_range(np.eye(2))
 
-    monkeypatch.setattr(forms.sla, "eigh", fail)
-    with pytest.raises(NoConvergenceError):
-        forms.numerical_range(np.eye(2), 8)
-    with pytest.raises(NoConvergenceError):
-        forms.Sector(vertex=0.0, half_angle=0.5).require_range(np.eye(2))
+
+def _exactly_hermitian(rng, n):
+    a = rand_complex(rng, n)
+    return (a + a.conj().T) / 2.0
+
+
+ORACLE_CASES = {
+    "non-normal": rand_complex(np.random.default_rng(21), 40),  # past the blocking size
+    "hermitian": _exactly_hermitian(np.random.default_rng(22), 9),
+    "nilpotent": NILPOTENT,
+    "identity": np.eye(3, dtype=complex),  # both ends degenerate at every angle
+    "diagonal": np.diag([1.0 + 2.0j, -0.5, 3.0 - 1.0j, 0.25j]),  # the tridiagonal splits
+    "n=1": np.array([[0.3 - 0.7j]]),
+    "n=2": rand_complex(np.random.default_rng(23), 2),
+}
+
+
+def _rotated(t, phi):
+    tr, ti = forms.hermitian_split(t)
+    return math.cos(phi) * tr + math.sin(phi) * ti
+
+
+@pytest.mark.parametrize("m", [16, 17])
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_paired_sweep_matches_independent_oracle(name, m):
+    t = ORACLE_CASES[name]
+    n = t.shape[0]
+    b = forms.numerical_range(t, m)
+    tol = 1e-12 * max(1.0, np.linalg.norm(t, 2))
+    top = np.array([np.linalg.eigvalsh(_rotated(t, phi))[-1] for phi in b.angles])  # zheevd
+    assert np.abs(b.support - top).max() <= tol
+    assert np.abs(np.real(np.exp(-1j * b.angles) * b.points) - b.support).max() <= tol
+    # the angles that take the top end of their own reduction keep the bits of
+    # a per-angle subset eigh; the bottom vectors only give the stacked product
+    # T @ vecs the library's shape
+    own = m // 2 if m % 2 == 0 else m
+    support, vecs = np.empty(m), np.empty((n, m), dtype=complex)
+    for k, phi in enumerate(b.angles[:own]):
+        h = _rotated(t, phi)
+        w, v = sla.eigh(h, subset_by_index=[n - 1, n - 1], check_finite=False)
+        support[k], vecs[:, k] = w[0], v[:, 0]
+        if own < m:
+            vecs[:, k + own] = sla.eigh(h, subset_by_index=[0, 0], check_finite=False)[1][:, 0]
+    points = np.einsum("ik,ik->k", vecs.conj(), t @ vecs)
+    assert np.array_equal(b.support[:own], support[:own])
+    assert np.array_equal(b.points[:own], points[:own])
+
+
+@pytest.mark.parametrize("m, reductions", [(16, 8), (17, 17)])
+def test_sweep_reduces_once_per_opposite_pair(monkeypatch, m, reductions):
+    calls = []
+    zhetrd = forms.lapack.zhetrd
+    monkeypatch.setattr(forms.lapack, "zhetrd", lambda *a, **k: calls.append(a[0].shape) or zhetrd(*a, **k))
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("forms called scipy.linalg.eigh")
+
+    monkeypatch.setattr(sla, "eigh", no_eigh)
+    t = rand_complex(np.random.default_rng(24), 6)
+    forms.numerical_range(t, m)
+    assert len(calls) == reductions
+    del calls[:]
+    forms.Sector(vertex=-100.0, half_angle=1.4).require_range(t)
+    assert len(calls) == 3
+    assert not hasattr(forms, "sla")
 
 
 def test_range_convexity_random(rng):
