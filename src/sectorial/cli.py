@@ -13,7 +13,9 @@ Every config value is read once, by :func:`_read`, which checks its JSON type
 and never converts it: a count is a JSON integer, a real a finite JSON number
 (not a bool, NaN or Infinity), a complex value an [re, im] pair of reals, text
 a string, and a block that is present an object.  A value of another type, or
-below its bound, is a ConfigError naming its key.
+below its bound, is a ConfigError naming its key.  So is a key that no reader
+of the subcommand takes: each JSON object of the config notes the keys read
+from it, and after the run any other key is reported by its dotted path.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from . import eigenstate, forms, holocheck, numcore, rigging, resolvent, schrodinger, semigroup
-from .contour import Circle, Polyline, RightBoundary, low_energy_hamiltonian, rank_of_projection, \
-    spectral_pair
+from .contour import DEFAULT_CIRCLE_NODES, DEFAULT_GAUSS_ORDER, Circle, Polyline, RightBoundary, \
+    low_energy_hamiltonian, rank_of_projection, spectral_pair
 from .errors import ConfigError, NumericalFailure, SectorialError
-from .forms import Sector
+from .forms import DEFAULT_NODES, Sector
 
 SUBCOMMANDS = ("numrange", "riesz", "track", "density", "thermal", "holocheck", "neumann")
 
@@ -91,11 +93,28 @@ _KINDS = {  # kind: (the value read, or None for a value of another type; what i
     "complex": (lambda v: None if (a := _pairs([v])) is None else a[0].item(),
                 "an [re, im] pair of finite numbers"),
     "text": (lambda v: v if type(v) is str else None, "a string"),
-    "object": (lambda v: v if type(v) is dict else None, "an object"),
+    "object": (lambda v: v if isinstance(v, dict) else None, "an object"),
     "real list": (lambda v: _finite(v) if type(v) is list else None, "a list of finite numbers"),
     "complex list": (lambda v: _pairs(v) if type(v) is list else None,
                      "a list of [re, im] pairs of finite numbers"),
 }
+
+
+class _Block(dict):
+    """A JSON object of the config, with the keys :func:`_read` took from it."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.taken = set()
+
+
+def _unread(block: _Block, prefix: str = ""):
+    """Dotted paths of the keys of ``block`` and its sub-blocks no reader took."""
+    for key, value in block.items():
+        if key not in block.taken:
+            yield prefix + key
+        elif isinstance(value, _Block):
+            yield from _unread(value, f"{prefix}{key}.")
 
 
 def _read(block: dict, key: str, kind: str, default=None, least=None, strict: bool = False):
@@ -103,11 +122,13 @@ def _read(block: dict, key: str, kind: str, default=None, least=None, strict: bo
     required when ``default`` is None), at least ``least`` (above it when
     ``strict``).  The JSON type is checked, never converted: a real is read
     as a float, a pair as a complex, a list as an array.  Otherwise a
-    ConfigError naming ``key``."""
+    ConfigError naming ``key``.  The key counts as taken from ``block``."""
     if key not in block:
         if default is None:
             raise ConfigError(f"missing required config key '{key}'")
         return default
+    if isinstance(block, _Block):
+        block.taken.add(key)
     read, what = _KINDS[kind]
     value = read(block[key])
     if value is None:
@@ -157,10 +178,10 @@ def parse_contour(cfg: dict, default=None):
     if kind == "circle":
         return Circle(center=_read(block, "center", "complex"),
                       radius=_read(block, "radius", "real", least=0.0, strict=True),
-                      nodes=_read(block, "nodes", "count", 128, least=2))
+                      nodes=_read(block, "nodes", "count", DEFAULT_CIRCLE_NODES, least=2))
     if kind == "polyline":
         return _build(Polyline, vertices=tuple(_read(block, "vertices", "complex list").tolist()),
-                      order=_read(block, "order", "count", 16, least=1),
+                      order=_read(block, "order", "count", DEFAULT_GAUSS_ORDER, least=1),
                       panels=_read(block, "panels", "count", 8, least=1))
     if kind == "right_boundary":
         return RightBoundary(abscissa=_read(block, "abscissa", "real"), sector=parse_sector(block))
@@ -193,12 +214,13 @@ def parse_fields(cfg: dict, key: str, grid) -> schrodinger.FieldConfig:
 
 def _beta_list(cfg: dict) -> list[complex]:
     """``beta``: a real, a list of [re, im] pairs, or {start, stop, num}."""
-    block = cfg.get("beta")
-    if isinstance(block, dict):
+    value = cfg.get("beta")
+    if isinstance(value, dict):
+        block = _read(cfg, "beta", "object")
         betas = [complex(b) for b in np.linspace(
             _read(block, "start", "real"), _read(block, "stop", "real"),
             _read(block, "num", "count", least=1))]
-    elif isinstance(block, list):
+    elif isinstance(value, list):
         betas = _read(cfg, "beta", "complex list").tolist()
     else:
         betas = [complex(_read(cfg, "beta", "real"))]
@@ -218,21 +240,21 @@ def _input_matrix(cfg) -> np.ndarray:
     return parse_matrix(cfg)
 
 
-def run_numrange(cfg, outdir: Path, tol: dict, seed: int) -> dict:
+def run_numrange(cfg, outdir: Path, seed: int) -> dict:
     matrix = _input_matrix(cfg)
-    nodes = _read(_read(cfg, "contour", "object", {}), "nodes", "count", 256, least=8)
+    nodes = _read(_read(cfg, "contour", "object", {}), "nodes", "count", DEFAULT_NODES, least=8)
     boundary = forms.numerical_range(matrix, nodes)
     rows = [[th, p.real, p.imag, s]
             for th, p, s in zip(boundary.angles, boundary.points, boundary.support)]
     write_csv(outdir / "numrange.csv", ["angle", "re_point", "im_point", "support"], rows)
     return {
         "max_modulus": float(np.abs(boundary.points).max()),
-        "convex": bool(boundary.is_convex(tol.get("convexity_slack", 1e-10))),
+        "convex": bool(boundary.is_convex()),
         "convexity_margin": boundary.convexity_margin(),
     }
 
 
-def run_riesz(cfg, outdir: Path, tol: dict, seed: int) -> dict:
+def run_riesz(cfg, outdir: Path, seed: int) -> dict:
     matrix = _input_matrix(cfg)
     contour = parse_contour(cfg)
     if isinstance(contour, RightBoundary):
@@ -243,7 +265,7 @@ def run_riesz(cfg, outdir: Path, tol: dict, seed: int) -> dict:
             zip(np.ndindex(p.shape), p.real.ravel().tolist(), p.imag.ravel().tolist())]
     write_csv(outdir / "projector.csv", ["row", "col", "re_p", "im_p"], rows)
     defect = float(np.linalg.norm(p @ p - p, 2))
-    rank = rank_of_projection(p, idem_tol=tol.get("projection_idem_tol", 1e-6), defect=defect)
+    rank = rank_of_projection(p, defect=defect)
     summary = {"trace": float(np.trace(p).real), "rank": rank, "idempotency_defect": defect}
     if rank == 1:
         summary["eigenvalue"] = [float(np.trace(a_low).real), float(np.trace(a_low).imag)]
@@ -270,7 +292,7 @@ def _track_inputs(cfg):
         base = np.diag([0.0, 1.0]).astype(complex)
         step = np.diag([0.1, 0.0]).astype(complex)
         fam = lambda s: base + s * step
-        default_contour = Circle(center=0.0, radius=0.3, nodes=128)
+        default_contour = Circle(center=0.0, radius=0.3)
         return fam, svals, default_contour
     grid, space = parse_grid(cfg)
     base = parse_fields(cfg, "fields", grid)
@@ -279,13 +301,12 @@ def _track_inputs(cfg):
     return fam, svals, _lattice_circle(fam(svals[0]))
 
 
-def run_track(cfg, outdir: Path, tol: dict, seed: int) -> dict:
+def run_track(cfg, outdir: Path, seed: int) -> dict:
     fam, svals, default_contour = _track_inputs(cfg)
     c0 = parse_contour(cfg, default=default_contour)
     if not isinstance(c0, Circle):
         raise ConfigError("track requires a circle contour")
-    points = eigenstate.track_eigenvalue(fam, list(svals), c0, s_values=svals,
-                                         gap_floor=tol.get("gap_floor", 1e-6))
+    points = eigenstate.track_eigenvalue(fam, list(svals), c0, s_values=svals)
     rows = eigenstate.track_to_rows(points)
     write_csv(outdir / "track.csv", list(rows[0]), [list(r.values()) for r in rows])
     drift = abs(points[-1].energy - points[0].energy)
@@ -293,7 +314,7 @@ def run_track(cfg, outdir: Path, tol: dict, seed: int) -> dict:
             "min_gap": float(min(p.gap for p in points))}
 
 
-def run_density(cfg, outdir: Path, tol: dict, seed: int) -> dict:
+def run_density(cfg, outdir: Path, seed: int) -> dict:
     grid, space = parse_grid(cfg)
     fields = parse_fields(cfg, "fields", grid)
     matrix = schrodinger.family(grid, space, fields)
@@ -314,13 +335,11 @@ def run_density(cfg, outdir: Path, tol: dict, seed: int) -> dict:
             "charge_defect": abs(total - space.particles)}
 
 
-def run_thermal(cfg, outdir: Path, tol: dict, seed: int) -> dict:
+def run_thermal(cfg, outdir: Path, seed: int) -> dict:
     matrix = _input_matrix(cfg)
     betas = _beta_list(cfg)
-    sector = parse_sector(cfg) if "sector" in cfg else \
-        forms.fit_sector(forms.numerical_range(matrix, semigroup.RANGE_NODES), margin=0.05)
-    zs, fs = semigroup.free_energy_path(betas, matrix, sector,
-                                        z_floor_factor=tol.get("z_floor_factor", 1e-12))
+    sector = parse_sector(cfg) if "sector" in cfg else semigroup.fitted_sector(matrix)
+    zs, fs = semigroup.free_energy_path(betas, matrix, sector)
     rows = [[b.real, b.imag, z.real, z.imag, f.real, f.imag]
             for b, z, f in zip(betas, zs, fs)]
     write_csv(outdir / "thermal.csv",
@@ -329,12 +348,12 @@ def run_thermal(cfg, outdir: Path, tol: dict, seed: int) -> dict:
             "sector": {"vertex": sector.vertex, "half_angle": sector.half_angle}}
 
 
-def run_holocheck(cfg, outdir: Path, tol: dict, seed: int) -> dict:
+def run_holocheck(cfg, outdir: Path, seed: int) -> dict:
     matrix = _input_matrix(cfg)
     n = matrix.shape[0]
     path = _read(cfg, "path", "object", {})
     slices = _read(path, "slices", "count", 5, least=1)
-    radius = _read(path, "radius", "real", 1e-2, least=0.0, strict=True)
+    radius = _read(path, "radius", "real", holocheck.DEFAULT_SLICE_RADIUS, least=0.0, strict=True)
     spec = numcore.eigvals_oracle(matrix)
     zeta0 = complex(spec.real.min() - 1.0 - abs(spec.imag).max() * 1j - 1.0j)
     rng = np.random.default_rng(seed)
@@ -345,8 +364,7 @@ def run_holocheck(cfg, outdir: Path, tol: dict, seed: int) -> dict:
         w /= np.linalg.norm(w, 2)
         probe = holocheck.weak_probe(n, seed=seed + k)
         f = lambda t: resolvent.rmap(zeta0, t)
-        res, coeffs = holocheck.residual_and_coefficients(f, matrix, w, r=radius, m=64,
-                                                          k_max=8, probe=probe)
+        res, coeffs = holocheck.residual_and_coefficients(f, matrix, w, r=radius, probe=probe)
         try:
             rad = holocheck.radius_estimate(coeffs)
         except SectorialError:
@@ -365,7 +383,7 @@ def run_holocheck(cfg, outdir: Path, tol: dict, seed: int) -> dict:
     return {"slices": slices, "max_residual": worst}
 
 
-def run_neumann(cfg, outdir: Path, tol: dict, seed: int) -> dict:
+def run_neumann(cfg, outdir: Path, seed: int) -> dict:
     h = parse_matrix(cfg)
     t = parse_matrix(cfg, "perturbation") if "perturbation" in cfg else 0.4 * h
     n_terms = _read(_read(cfg, "path", "object", {}), "n_terms", "count", 40, least=0)
@@ -397,7 +415,7 @@ def run(config_path: str, output_dir: str | None = None, seed: int | None = None
         threads: int | None = None) -> int:
     """Execute one config; returns the process exit code."""
     try:
-        cfg = json.loads(Path(config_path).read_text())
+        cfg = json.loads(Path(config_path).read_text(), object_hook=_Block)
     except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON
         print(json.dumps({"error": "ConfigError", "message": str(exc)}), file=sys.stderr)
         return 2
@@ -407,17 +425,19 @@ def run(config_path: str, output_dir: str | None = None, seed: int | None = None
         sub = _read(cfg, "subcommand", "text")
         if sub not in SUBCOMMANDS:
             raise ConfigError(f"unknown subcommand '{sub}'")
-        tol = _read(cfg, "tolerances", "object", {})
-        tol = {key: _read(tol, key, "real") for key in tol}
-        run_seed = _read({"seed": seed} if seed is not None else cfg, "seed", "count", 0, least=0)
-        if output_dir is None:
-            output_dir = _read(cfg, "output_dir", "text", ".")
-        outdir = Path(output_dir)
+        run_seed = _read(cfg, "seed", "count", 0, least=0)
+        if seed is not None:
+            run_seed = _read({"seed": seed}, "seed", "count", least=0)
+        config_dir = _read(cfg, "output_dir", "text", ".")
+        outdir = Path(config_dir if output_dir is None else output_dir)
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"bad output directory: {exc}") from exc
-        summary = RUNNERS[sub](cfg, outdir, tol, run_seed)
+        summary = RUNNERS[sub](cfg, outdir, run_seed)
+        unread = list(_unread(cfg))
+        if unread:
+            raise ConfigError(f"unknown config key(s) for {sub}: {', '.join(unread)}")
     except ConfigError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2

@@ -58,6 +58,7 @@ TRACE_CHUNK_NODES = 256  # nodes per vectorized block: traces, probe solves, cle
 PROBE_SEED = 20031  # seed of the fixed probe vectors of enclosed_pair
 PROBE_FLOOR = 1e-6  # least overlap cosine of a probe with its eigenvector
 RESIDUAL_TOL = 1e-7  # eigenpair residuals of enclosed_pair, relative to |A|
+IDEM_TOL = 1e-6  # largest idempotency defect |P^2 - P|_2 rank_of_projection accepts
 
 
 @dataclass(frozen=True)
@@ -499,19 +500,19 @@ def enclosed_pair(a, contour):
     return phi, eta, energy, spec
 
 
-def rank_of_projection(p, idem_tol: float = 1e-6, defect: float | None = None) -> int:
+def rank_of_projection(p, defect: float | None = None) -> int:
     """Rank of a (possibly oblique) projection: rounded real trace.
 
     Cross-validated against the count of singular values above 1/2; a
-    mismatch or an idempotency defect |P^2 - P|_2 beyond ``idem_tol`` raises
+    mismatch or an idempotency defect |P^2 - P|_2 beyond IDEM_TOL raises
     NotAProjectionError.  A caller that already holds the defect passes it
     as ``defect`` and it is not computed again.
     """
     p = as_matrix(p)
     if defect is None:
         defect = np.linalg.norm(p @ p - p, 2)
-    if defect > idem_tol:
-        raise NotAProjectionError(f"|P^2 - P| = {defect:.3e} exceeds {idem_tol:.1e}")
+    if defect > IDEM_TOL:
+        raise NotAProjectionError(f"|P^2 - P| = {defect:.3e} exceeds {IDEM_TOL:.1e}")
     r = int(round(float(np.trace(p).real)))
     sv = np.linalg.svd(p, compute_uv=False)
     by_sv = int(np.sum(sv > 0.5))

@@ -88,15 +88,14 @@ def _gap_at(spec: np.ndarray, energy: complex) -> float:
     return float(abs(spec[order[1]] - spec[order[0]]))
 
 
-def track_eigenvalue(family_f, path, c0: Circle, s_values=None,
-                     gap_floor: float = GAP_FLOOR) -> list[TrackPoint]:
+def track_eigenvalue(family_f, path, c0: Circle, s_values=None) -> list[TrackPoint]:
     """Follow an isolated nondegenerate eigenvalue along a sampled path.
 
     The initial contour must enclose exactly one simple eigenvalue of
     family_f(path[0]).  At each subsequent sample the circle is re-centered
     at the previous eigenvalue with radius min(previous, 0.4 * gap); the gap
     to the rest of the spectrum is monitored and IsolationLostError raised
-    when it falls below ``gap_floor``.  Eigenvector phases are carried
+    when it falls below GAP_FLOOR.  Eigenvector phases are carried
     continuously; re-pinning events are flagged.
     """
     path = list(path)
@@ -113,8 +112,8 @@ def track_eigenvalue(family_f, path, c0: Circle, s_values=None,
         # one probe pass gives the pair and E; its Schur spectrum gives the gap
         phi, eta, energy, spec = enclosed_pair(family_f(p), circle)
         gap = _gap_at(spec, energy)
-        if gap < gap_floor:
-            raise IsolationLostError(f"gap {gap:.3e} < floor {gap_floor:.1e} at step {k}")
+        if gap < GAP_FLOOR:
+            raise IsolationLostError(f"gap {gap:.3e} < floor {GAP_FLOOR:.1e} at step {k}")
         pair = _pinned(phi, eta, pin)
         repinned = k > 0 and pair.pin != pin
         pin = pair.pin

@@ -38,7 +38,13 @@ from .numcore import as_matrix, inverse, schur_oracle
 VERTEX_SETBACK = 0.5
 TAIL_CUTOFF = 1e-14
 NODE_BUDGET = 20000 * 16  # most nodes per hyperbolic rule: binds below a room of ~7.8e-4
-RANGE_NODES = 128  # sweep angles whenever a sector is fitted to Num T
+RANGE_NODES = 128  # sweep angles of fitted_sector
+Z_FLOOR = 1e-12  # |Z| at or below Z_FLOOR * n counts as a vanished partition function
+
+
+def fitted_sector(t) -> Sector:
+    """The default sector of T: :func:`fit_sector` of a RANGE_NODES-angle sweep of Num T."""
+    return fit_sector(numerical_range(t, RANGE_NODES))
 
 
 def _admissible(beta: complex, sector: Sector) -> float:
@@ -130,8 +136,7 @@ class ThermalState:
     rho: np.ndarray
 
 
-def thermal_state(beta: complex, t, sector: Sector, z_floor_factor: float = 1e-12,
-                  check_range: bool = True) -> ThermalState:
+def thermal_state(beta: complex, t, sector: Sector, check_range: bool = True) -> ThermalState:
     """Partition function Z = Tr e^{-beta T}, free energy -log(Z)/beta
     (principal branch), and the statistical operator e^{-beta T} / Z;
     ``check_range`` goes to :func:`emap`.
@@ -139,7 +144,7 @@ def thermal_state(beta: complex, t, sector: Sector, z_floor_factor: float = 1e-1
     t = as_matrix(t)
     e = emap(beta, t, sector, check_range=check_range)
     z = complex(np.trace(e))
-    floor = z_floor_factor * t.shape[0]
+    floor = Z_FLOOR * t.shape[0]
     if abs(z) <= floor:
         raise ZeroPartitionFunctionError(f"|Z| = {abs(z):.3e} <= floor {floor:.3e}")
     f = -cmath.log(z) / complex(beta)
@@ -152,7 +157,7 @@ def thermal_expectation(state: ThermalState, b) -> complex:
     return complex(np.trace(state.rho @ b))
 
 
-def free_energy_path(betas, t, sector: Sector, z_floor_factor: float = 1e-12):
+def free_energy_path(betas, t, sector: Sector):
     """Free energies along a beta path with the phase of Z unwrapped.
 
     Standalone :func:`thermal_state` uses the principal log branch; along a
@@ -172,7 +177,7 @@ def free_energy_path(betas, t, sector: Sector, z_floor_factor: float = 1e-12):
     s = schur_oracle(t)[0]
     zs = np.array([schur_trace_sum(s, rule, [lambda z: cmath.exp(-b * z)])[0] / (2j * math.pi)
                    for b, rule in zip(betas, rules)])
-    floor = z_floor_factor * t.shape[0]
+    floor = Z_FLOOR * t.shape[0]
     if np.abs(zs).min() <= floor:
         raise ZeroPartitionFunctionError("partition function vanished along the path")
     args = np.unwrap(np.angle(zs))
@@ -190,7 +195,7 @@ def duhamel_first_order(beta: complex, h, t_dir, sector: Sector | None = None) -
     ch. 3): one :func:`resolvent_sums` pass on H, at size n, with the operand
     T / 2^k, k the binary exponent of max |T_ij| kept in the normal range,
     and the sum multiplied back by 2^k, both exactly; so D(beta, H, 2T) is
-    2 D(beta, H, T) bit for bit.  The sector defaults to a fit of Num H; a
+    2 D(beta, H, T) bit for bit.  The sector defaults to :func:`fitted_sector`; a
     supplied one is checked once to contain Num H (SectorViolationError).
     """
     h = as_matrix(h)
@@ -198,7 +203,7 @@ def duhamel_first_order(beta: complex, h, t_dir, sector: Sector | None = None) -
     if not np.any(t_dir):
         return np.zeros_like(h)
     if sector is None:
-        sector = fit_sector(numerical_range(h, RANGE_NODES))
+        sector = fitted_sector(h)
     else:
         sector.require_range(h)
     beta = complex(beta)

@@ -42,8 +42,9 @@ def count_decompositions(monkeypatch):
     """Log of the LAPACK decompositions :func:`numcore.schur_oracle` makes
     while the test runs, as (kind, A) with kind "schur" (``zgees``) or
     "eigh" (exactly hermitian A).  Only numcore's binding of scipy.linalg is
-    replaced: ``forms`` binds the same module object, and the ``eigh`` calls
-    of its numerical-range sweep are not decompositions of A."""
+    replaced, so no other module's call is counted: the numerical-range sweep
+    and :meth:`Sector.require_range` reduce through ``scipy.linalg.lapack``
+    (``zhetrd``) and make no decomposition of A."""
     calls = []
     linalg = numcore.sla
 

@@ -284,14 +284,47 @@ def test_exit_2_on_bad_config(tmp_path, capsys):
     for k, bad in enumerate([5, dict(numrange, seed="x"), dict(numrange, seed=-1),
                              dict(numrange, output_dir=5),
                              dict(numrange, output_dir=str(tmp_path / "c.json")),  # a file
+                             # no subcommand reads a tolerances block (its floors are
+                             # library constants); a NaN would have turned the check off
                              {"subcommand": "track", "path": {"demo": "diag"},
-                              "tolerances": {"gap_floor": math.nan}},  # would turn the check off
+                              "output_dir": str(tmp_path / "tolerances"),
+                              "tolerances": {"gap_floor": math.nan}},
                              {"subcommand": "track", "grid": {"d": 1, "n": 4, "delta": 0.5},
                               "path": {"demo": "dag"}}]):  # was the lattice family
         assert run(str(write_cfg(tmp_path, f"bad{k}.json", bad))) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
     assert "path.demo" in err["message"]
+
+    # a key that no reader of the subcommand takes is named by its dotted path;
+    # each of these ran with the key ignored and exited 0
+    thermal = {"subcommand": "thermal", "matrix": {"demo": "two_level"},
+               "beta": {"start": 0.5, "stop": 2.0, "num": 3}}
+    track = {"subcommand": "track", "path": {"demo": "diag", "s": {"start": 0.0, "stop": 1.0,
+                                                                   "num": 3}}}
+    for k, (bad, key) in enumerate([
+            (dict(numrange, contuor={"nodes": 3}), "contuor"),
+            (dict(numrange, contour={"nodes": 16, "type": "circle"}), "contour.type"),
+            (dict(numrange, matrix={"demo": "nilpotent", "delta": 0.5}), "matrix.delta"),
+            ({"subcommand": "riesz", "matrix": {"demo": "two_level"},
+              "contour": {"type": "circle", "center": [0.0, 0.0], "radius": 0.5, "node": 3}},
+             "contour.node"),
+            (dict(thermal, tolerances={"z_floor_factor": 1e-12}), "tolerances"),
+            (dict(thermal, beta={"start": 0.5, "stop": 2.0, "num": 3, "step": 2}), "beta.step"),
+            (dict(track, path=dict(track["path"], slices=3)), "path.slices"),
+            (dict(track, grid={"d": 1, "n": 4, "delta": 0.5}), "grid")]):
+        out = tmp_path / f"unread{k}"
+        assert run(str(write_cfg(tmp_path, f"unread{k}.json", bad)), output_dir=str(out)) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert err["message"].endswith(f": {key}")
+        assert not (out / "summary.json").exists()
+
+    # seed and output_dir are checked even where --seed or --output overrides them
+    for k, bad in enumerate([dict(numrange, seed="x"), dict(numrange, output_dir=5)]):
+        path = write_cfg(tmp_path, f"overridden{k}.json", bad)
+        assert run(str(path), output_dir=str(tmp_path / "flagged"), seed=7) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
     unreadable = tmp_path / "unreadable.json"
     for blob in (b'{"subcommand": "numrange", "output_dir": "\xe9"}',  # latin-1, not UTF-8
@@ -339,6 +372,7 @@ INVERTIBLE = {"dim": 2, "entries": [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.0, 0.
     ("riesz", dict(DIAG, matrix={"demo": "two_level", "delta": "x"}, contour=CIRCLE)),
     ("riesz", dict(DIAG, matrix={"demo": ["two_level"]}, contour=CIRCLE)),
     ("riesz", dict(DIAG, contour=5)),
+    # no subcommand reads a tolerances block: it exits 2 whatever its values
     ("thermal", dict(DIAG, beta=1.0, tolerances={"z_floor_factor": "x"})),
     ("thermal", dict(DIAG, beta=1.0, tolerances={"z_floor_factor": True})),
     # a count is a JSON integer: not truncated from a float, parsed from a string or a bool
@@ -417,6 +451,22 @@ def test_thermal_sweeps_range_once(tmp_path, monkeypatch):
     assert run(str(cfg)) == 0
     # the sweep fits the sector; containment is checked from support values
     assert len(calls) == 1
+
+
+def test_thermal_default_sector_is_fitted_sector(tmp_path, monkeypatch):
+    calls = []
+    fitted_sector = semigroup.fitted_sector
+    monkeypatch.setattr(semigroup, "fitted_sector",
+                        lambda t: calls.append(t) or fitted_sector(t))
+    cfg = write_cfg(tmp_path, "c.json", {
+        "subcommand": "thermal", "seed": 0, "output_dir": str(tmp_path / "out"),
+        "matrix": {"demo": "two_level"}, "beta": {"start": 0.5, "stop": 2.0, "num": 3},
+    })
+    assert run(str(cfg)) == 0
+    assert len(calls) == 1 and np.array_equal(calls[0], np.diag([0.0, 1.0]))
+    sector = json.loads((tmp_path / "out" / "summary.json").read_text())["summary"]["sector"]
+    want = fitted_sector(calls[0])
+    assert sector == {"vertex": want.vertex, "half_angle": want.half_angle}
 
 
 def test_thermal_sector_violation_exit_3(tmp_path, capsys):

@@ -80,13 +80,13 @@ def test_track_schrodinger_ramp_matches_oracle():
         assert abs(p.energy - nearest) <= 1e-8
 
 
-def test_track_isolation_lost():
+def test_track_isolation_lost(monkeypatch):
     # eigenvalues collide at s = 1
     fam = lambda s: np.diag([0.0, 1.0 - s]).astype(complex)
     svals = np.linspace(0.0, 1.0, 21)
+    monkeypatch.setattr(eg, "GAP_FLOOR", 0.2)
     with pytest.raises(IsolationLostError):
-        eg.track_eigenvalue(fam, svals, Circle(0.0, 0.25, 128), s_values=svals,
-                            gap_floor=0.2)
+        eg.track_eigenvalue(fam, svals, Circle(0.0, 0.25, 128), s_values=svals)
 
 
 def test_track_phase_continuity_and_eta_equals_phi(rng):

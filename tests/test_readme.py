@@ -1,10 +1,11 @@
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sectorial import numcore
+from sectorial import cli, numcore
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,3 +22,17 @@ def test_readme_library_tour_runs():
     p = scope["p"]
     assert np.linalg.norm(p @ p - p, 2) <= 1e-10
     assert np.trace(p).real == pytest.approx(1.0, abs=1e-10)
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch):
+    # every key the docs show must be one the CLI reads: an unread key exits 2
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    cfg = json.loads(blocks[0])
+    assert cfg["subcommand"] == "thermal"
+    (tmp_path / "run.json").write_text(blocks[0])
+    monkeypatch.chdir(tmp_path)
+    assert cli.run("run.json") == 0
+    out = tmp_path / cfg["output_dir"]
+    assert len((out / "thermal.csv").read_text().splitlines()) == 1 + cfg["beta"]["num"]
+    assert json.loads((out / "summary.json").read_text())["subcommand"] == "thermal"

@@ -217,15 +217,16 @@ def test_thermal_hermitian_eig_sum_oracle(rng):
     assert abs(np.trace(st.rho) - 1.0) <= 1e-9
 
 
-def test_thermal_zero_partition():
+def test_thermal_zero_partition(monkeypatch):
     # two-level Z = 1 + e^{-beta}: nearly cancelled at beta = 0.1 + i pi
     h = np.diag([0.0, 1.0]).astype(complex)
     sec = Sector(-0.05, 0.02)
     beta = 0.1 + 1j * math.pi
     st = semigroup.thermal_state(beta, h, sec)
     assert abs(st.z - (1.0 - math.exp(-0.1))) <= 1e-10
+    monkeypatch.setattr(semigroup, "Z_FLOOR", 0.1)
     with pytest.raises(ZeroPartitionFunctionError):
-        semigroup.thermal_state(beta, h, sec, z_floor_factor=0.1)
+        semigroup.thermal_state(beta, h, sec)
 
 
 def test_thermal_expectation_identity_and_closed_form():
@@ -256,6 +257,28 @@ def test_free_energy_path_unwraps_phase():
     # continuity: no branch jumps of size ~ 2 pi / |beta|
     steps = np.abs(np.diff(fs))
     assert steps.max() < 1.0
+
+
+@pytest.mark.parametrize("make", [lambda rng: exact_hermitian(rng, 12),
+                                  lambda rng: rand_sectorial(rng, 12),
+                                  lambda rng: np.array([[0.7]], dtype=complex)],
+                         ids=["hermitian", "non_normal", "1x1"])
+def test_fitted_sector_is_the_128_angle_fit(rng, make):
+    t = make(rng)
+    got, want = semigroup.fitted_sector(t), fit_sector(numerical_range(t, 128), margin=0.05)
+    assert (got.vertex, got.half_angle) == (want.vertex, want.half_angle)
+
+
+def test_duhamel_default_sector_is_fitted_sector(rng, monkeypatch):
+    calls = []
+    fitted_sector = semigroup.fitted_sector
+    monkeypatch.setattr(semigroup, "fitted_sector",
+                        lambda t: calls.append(t) or fitted_sector(t))
+    h, t = rand_sectorial(rng, 6), rand_complex(rng, 6)
+    out = semigroup.duhamel_first_order(0.8, h, t)
+    assert len(calls) == 1 and np.array_equal(calls[0], h)
+    assert np.array_equal(out, semigroup.duhamel_first_order(0.8, h, t, sector=fitted(h)))
+    assert len(calls) == 1
 
 
 def test_duhamel_zero_direction(rng):
