@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import eigenstate, forms, holocheck, numcore, rigging, resolvent, schrodinger, semigroup
-from .contour import DEFAULT_CIRCLE_NODES, DEFAULT_GAUSS_ORDER, Circle, Polyline, RightBoundary, \
-    low_energy_hamiltonian, rank_of_projection, spectral_pair
+from .contour import DEFAULT_CIRCLE_NODES, DEFAULT_GAUSS_ORDER, DEFAULT_PANELS, Circle, Polyline, \
+    RightBoundary, low_energy_hamiltonian, rank_of_projection, spectral_pair
 from .errors import ConfigError, NumericalFailure, SectorialError
 from .forms import DEFAULT_NODES, Sector
 
@@ -182,7 +182,7 @@ def parse_contour(cfg: dict, default=None):
     if kind == "polyline":
         return _build(Polyline, vertices=tuple(_read(block, "vertices", "complex list").tolist()),
                       order=_read(block, "order", "count", DEFAULT_GAUSS_ORDER, least=1),
-                      panels=_read(block, "panels", "count", 8, least=1))
+                      panels=_read(block, "panels", "count", DEFAULT_PANELS, least=1))
     if kind == "right_boundary":
         return RightBoundary(abscissa=_read(block, "abscissa", "real"), sector=parse_sector(block))
     raise ConfigError(f"unknown contour type '{kind}'")

@@ -49,6 +49,7 @@ from .numcore import PairwiseAccumulator, as_matrix, pairwise_sum, schur_oracle
 
 DEFAULT_CIRCLE_NODES = 128
 DEFAULT_GAUSS_ORDER = 16
+DEFAULT_PANELS = 8  # Gauss panels per polyline edge
 CLEARANCE_FACTOR = 10.0  # least node distance from the spectrum, in node spacings
 TRACE_TOL = 0.01  # how far Tr P of a rank-one enclosure may sit from 1 (and 0 from empty)
 LINE_TOL = 1e-9  # least distance of the spectrum from a splitting line, relative to |spectrum|
@@ -136,7 +137,7 @@ class Polyline:
 
     vertices: tuple
     order: int = DEFAULT_GAUSS_ORDER
-    panels: tuple | int = 1
+    panels: tuple | int = DEFAULT_PANELS
 
     def __post_init__(self):
         if len(self.vertices) < 3:

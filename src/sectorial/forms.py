@@ -5,24 +5,33 @@ numerical range boundary is sampled by the rotated-hermitian-part sweep: each
 angle's support value and boundary point come from the top eigenpair of
 Re(e^{-i phi} T).  Re(e^{-i(phi+pi)} T) = -Re(e^{-i phi} T), so one tridiagonal
 reduction yields both ends of the spectrum and serves a pair of opposite
-angles; convexity of the sampled polygon is a checkable invariant.
-Containment of Num t in a sector is decided exactly from three support
-values (:meth:`Sector.require_range`).
+angles; convexity of the sampled polygon is a checkable invariant.  From
+n = ``THREAD_MIN_DIM`` up the reductions are spread over the process's CPUs;
+an angle's figures come from the same operations on whichever thread takes
+it, so the bits do not depend on the number of threads.  Containment of Num t
+in a sector is decided exactly from three support values
+(:meth:`Sector.require_range`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack
 
 from .errors import NoConvergenceError, NotSectorialError, SectorViolationError
 from .numcore import as_matrix
 
 CONVEXITY_SLACK = 1e-10
 DEFAULT_NODES = 256
+THREAD_MIN_DIM = 64  # below it a thread's start-up costs more than its share of the sweep saves
+SWEEP_WORKSPACE_BYTES = 1 << 28  # what the sweep's threads may allocate together: two threads at n = 2048
 
 
 def adjoint_form(t) -> np.ndarray:
@@ -37,46 +46,115 @@ def hermitian_split(t) -> tuple[np.ndarray, np.ndarray]:
     return (t + th) / 2.0, (t - th) / 2.0j
 
 
-def _extreme_pairs(h: np.ndarray, vectors: bool = True):
-    """Top and bottom eigenvalue of hermitian h, with unit eigenvectors, from one reduction.
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _lapack(name: str, nargs: int):
+    """LAPACK routine ``name`` as a ctypes function of ``nargs`` addresses.
+
+    ``scipy.linalg.cython_lapack`` exports the C entry point of each routine
+    of the LAPACK that ``scipy.linalg.lapack`` wraps, so the bits are those of
+    the f2py wrappers.  Those wrappers hold the GIL for the whole call; a
+    ctypes call releases it, so reductions on several threads run at once.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    address = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+# looked up by name at each call; info is every routine's last argument
+zhetrd = _lapack("zhetrd", 10)
+dstebz = _lapack("dstebz", 18)
+dstein = _lapack("dstein", 13)
+zunmqr = _lapack("zunmqr", 13)
+_CHARS = {c: ctypes.create_string_buffer(c) for c in (b"L", b"N", b"I", b"B")}
+
+
+def _addresses(*args) -> tuple:
+    """Each argument's address: an array's data, a one-letter option's buffer, an int as it is."""
+    return tuple(x.ctypes.data if isinstance(x, np.ndarray) else
+                 ctypes.addressof(_CHARS[x]) if isinstance(x, bytes) else x for x in args)
+
+
+class _Reducer:
+    """One thread's LAPACK workspace for the extreme eigenpairs of n x n hermitian matrices.
 
     The steps are those LAPACK ``zheevr`` takes for a one-index subset:
     ``zhetrd`` to a real tridiagonal, ``dstebz`` bisection for index n and
     index 1, ``dstein`` inverse iteration for each (with its own split
     blocks), and one unblocked ``zunmqr`` back-transformation of both vectors.
     The top pair has the bits of ``scipy.linalg.eigh(h, subset_by_index=[n-1,
-    n-1])``.  Returns ``(top, bottom)``, or ``(top, bottom, v)`` with the top
-    vector in ``v[:, 0]`` and the bottom one in ``v[:, 1]``.
+    n-1])``.  Every array and argument address is made once, here, so each
+    matrix then takes three numpy operations and six GIL-free LAPACK calls.
     """
-    n = h.shape[0]
-    if n == 1:
-        w = float(h[0, 0].real)
-        return (w, w, np.ones((1, 2), dtype=complex)) if vectors else (w, w)
-    lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
-    c, d, e, tau, info = lapack.zhetrd(h, lower=1, lwork=lwork)
-    _require_converged("zhetrd", info)
-    ends = []
-    for index in (n, 1):
-        _, w, block, split, info = lapack.dstebz(d, e, 2, 0.0, 0.0, index, index, 0.0, "B")
-        _require_converged("dstebz", info)
-        ends.append((w[:1], block, split))
-    top, bottom = (float(w[0]) for w, _, _ in ends)
-    if not vectors:
-        return top, bottom
-    v = np.empty((n, 2), dtype=complex)
-    for j, (w, block, split) in enumerate(ends):
-        z, info = lapack.dstein(d, e, w, block, split)
-        _require_converged("dstein", info)
-        v[:, j] = z[:, 0]
-    # lwork = 2 keeps zunmqr unblocked: it then gives zheevr's bits, the blocked one does not
-    v[1:], _, info = lapack.zunmqr("L", "N", c[1:, :n - 1], tau, v[1:], 2)
-    _require_converged("zunmqr", info)
-    return top, bottom, v
 
+    def __init__(self, n: int):
+        self.a = np.empty((n, n), dtype=complex, order="F")  # h, then zhetrd's reflectors
+        self.b = np.empty((n, n), dtype=complex, order="F")  # the second term of h
+        self.d, self.e = np.empty(n), np.empty(max(n - 1, 1))  # e and tau hold n - 1 entries
+        self.tau = np.empty(max(n - 1, 1), dtype=complex)
+        self.w, self.z = np.empty((2, n)), np.empty((2, n))  # per end: dstebz's value, dstein's vector
+        self.block, self.split = np.empty((2, n), dtype=np.int32), np.empty((2, n), dtype=np.int32)
+        # dstebz takes 4n reals and 3n ints, dstein 5n reals, n ints and its ifail (at 3n)
+        self.real_work, self.int_work = np.empty(5 * n), np.empty(4 * n, dtype=np.int32)
+        self.v = np.empty((n, 2), dtype=complex, order="F")
+        self.zero, self.small_work = np.zeros(1), np.empty(2, dtype=complex)
+        # the integer arguments: n, n - 1, 1, 2, lwork (-1 asks for its size), info, dstebz's m and nsplit
+        self.ints = np.array([n, n - 1, 1, 2, -1, 0, 0, 0], dtype=np.int32)
+        self.info = self.ints[5:6]
+        n_, n1, one, two, lwork, info, found, nsplit = (self.ints.ctypes.data + 4 * i for i in range(8))
 
-def _require_converged(routine: str, info: int) -> None:
-    if info != 0:
-        raise NoConvergenceError(f"LAPACK {routine} returned info={info}")
+        def zhetrd_args():
+            return _addresses(b"L", n_, self.a, n_, self.d, self.e, self.tau, self.work, lwork, info)
+        self.work = np.empty(1, dtype=complex)
+        self._call("zhetrd", zhetrd_args())
+        self.ints[4] = int(self.work[0].real)
+        self.work = np.empty(self.ints[4], dtype=complex)
+        self.zhetrd_args = zhetrd_args()
+        self.dstebz_args = [
+            _addresses(b"I", b"B", n_, self.zero, self.zero, index, index, self.zero, self.d, self.e, found,
+                       nsplit, self.w[end], self.block[end], self.split[end], self.real_work, self.int_work,
+                       info)
+            for end, index in enumerate((n_, one))]
+        self.dstein_args = [
+            _addresses(n_, self.d, self.e, one, self.w[end], self.block[end], self.split[end], self.z[end],
+                       n_, self.real_work, self.int_work, self.int_work[3 * n:], info)
+            for end in range(2)]
+        # C = v[1:] and the reflectors below a's diagonal, both with leading dimension n;
+        # lwork = 2 keeps zunmqr unblocked: it then gives zheevr's bits, the blocked one does not
+        self.zunmqr_args = _addresses(b"L", b"N", n1, two, n1, self.a[1:], n_, self.tau, self.v[1:], n_,
+                                      self.small_work, two, info)
+
+    def _call(self, routine: str, args: tuple) -> None:
+        globals()[routine](*args)
+        if self.info[0] != 0:
+            raise NoConvergenceError(f"LAPACK {routine} returned info={self.info[0]}")
+
+    def extremes(self, tr, ti, phi: float, vectors: bool = True):
+        """Top and bottom eigenvalue of cos phi tr + sin phi ti, with unit eigenvectors.
+
+        Returns ``(top, bottom)``, or ``(top, bottom, v)`` with the top vector
+        in ``v[:, 0]`` and the bottom one in ``v[:, 1]``; the next call
+        overwrites v.  tr and ti must be Fortran-ordered, as ``a`` is: each
+        operation then runs numpy's contiguous loop, and gives the bits that
+        ``cos phi * tr + sin phi * ti`` gives on C-ordered arrays.
+        """
+        np.multiply(tr, math.cos(phi), out=self.a)
+        np.multiply(ti, math.sin(phi), out=self.b)
+        np.add(self.a, self.b, out=self.a)
+        self._call("zhetrd", self.zhetrd_args)
+        for args in self.dstebz_args:
+            self._call("dstebz", args)
+        top, bottom = float(self.w[0, 0]), float(self.w[1, 0])
+        if not vectors:
+            return top, bottom
+        for args in self.dstein_args:
+            self._call("dstein", args)
+        self.v[:] = self.z.T
+        self._call("zunmqr", self.zunmqr_args)
+        return top, bottom, self.v
 
 
 @dataclass(frozen=True)
@@ -109,11 +187,12 @@ class Sector:
         relative to the largest |support value| (at least 1e-9); the error
         names the side with the largest excess over its bound.
         """
-        tr, ti = hermitian_split(t)
+        tr, ti = (np.asfortranarray(h) for h in hermitian_split(t))
+        reducer = _Reducer(tr.shape[0])
         edge = math.pi / 2 + self.half_angle
         excess, support = {}, []
         for side, phi in (("vertex", math.pi), ("upper edge", edge), ("lower edge", -edge)):
-            top, _ = _extreme_pairs(math.cos(phi) * tr + math.sin(phi) * ti, vectors=False)
+            top, _ = reducer.extremes(tr, ti, phi, vectors=False)
             support.append(abs(top))
             excess[side] = top - self.vertex * math.cos(phi)
         slack = 1e-9 * max(1.0, *support)
@@ -184,24 +263,66 @@ def numerical_range(t, m: int = DEFAULT_NODES) -> NumericalRangeBoundary:
     For even m the angles k and k + m/2 are opposite, and the hermitian part at
     the second is minus that at the first, so one reduction at angle k gives
     both: its bottom eigenpair, negated, is the top one at k + m/2.  For odd m
-    every angle takes its own reduction.
+    every angle takes its own reduction.  From n = ``THREAD_MIN_DIM`` up the
+    reductions run on one thread per available CPU, each thread taking the
+    next angle left, with no more threads than ``SWEEP_WORKSPACE_BYTES`` of
+    workspace allow (at most two at n = 2048, one above).  An angle's figures
+    come from the same operations on whichever thread, so the bits depend
+    neither on the number of threads nor on their timing; a failure is
+    reported for the lowest failing angle.
     """
     t = as_matrix(t)
     if m < 8:
         raise ValueError(f"need at least 8 sweep angles, got {m}")
-    tr, ti = hermitian_split(t)
+    n = t.shape[0]
+    tr, ti = (np.asfortranarray(h) for h in hermitian_split(t))
     angles = 2.0 * math.pi * np.arange(m) / m
     support = np.empty(m)
-    tops = np.empty((t.shape[0], m), dtype=complex)
+    tops = np.empty((n, m), dtype=complex)
     own = m // 2 if m % 2 == 0 else m  # the angles that take a reduction of their own
-    for k, phi in enumerate(angles[:own]):
-        top, bottom, v = _extreme_pairs(math.cos(phi) * tr + math.sin(phi) * ti)
-        support[k], tops[:, k] = top, v[:, 0]
-        if own < m:
-            support[k + own], tops[:, k + own] = -bottom, v[:, 1]
+    # a thread's workspace is mostly _Reducer's two n x n complex arrays
+    parts = min(own, _cpu_count(), max(1, SWEEP_WORKSPACE_BYTES // (32 * n * n))) if n >= THREAD_MIN_DIM else 1
+    pending = deque(range(own))  # popleft is thread-safe: each angle goes to the first free thread
+    failures = {}
+
+    def sweep() -> None:
+        reducer = _Reducer(n)
+        while True:
+            try:
+                k = pending.popleft()
+            except IndexError:  # every angle is taken
+                return
+            try:
+                top, bottom, v = reducer.extremes(tr, ti, angles[k])
+            except NoConvergenceError as exc:
+                failures[k] = exc
+                continue
+            support[k], tops[:, k] = top, v[:, 0]
+            if own < m:
+                support[k + own], tops[:, k + own] = -bottom, v[:, 1]
+
+    if parts == 1:
+        sweep()
+    else:
+        # leaving the block joins every thread, also when one raised
+        with ThreadPoolExecutor(parts - 1) as pool:
+            try:
+                rest = [pool.submit(sweep) for _ in range(1, parts)]
+                sweep()
+                for future in rest:
+                    future.result()
+            finally:  # on an early exit the other threads stop after their current angle
+                pending.clear()
+    if failures:  # the lowest failing angle, whoever took it
+        raise failures[min(failures)]
     tv = t @ tops  # conjugating tops in place then spares a third n x m array
     points = np.einsum("ik,ik->k", np.conjugate(tops, out=tops), tv)
     return NumericalRangeBoundary(angles=angles, points=points, support=support)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on (all of the machine's where the OS cannot say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def fit_sector(boundary: NumericalRangeBoundary, margin: float = 0.05) -> Sector:

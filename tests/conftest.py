@@ -43,8 +43,8 @@ def count_decompositions(monkeypatch):
     while the test runs, as (kind, A) with kind "schur" (``zgees``) or
     "eigh" (exactly hermitian A).  Only numcore's binding of scipy.linalg is
     replaced, so no other module's call is counted: the numerical-range sweep
-    and :meth:`Sector.require_range` reduce through ``scipy.linalg.lapack``
-    (``zhetrd``) and make no decomposition of A."""
+    and :meth:`Sector.require_range` reduce through forms' own ctypes binding
+    of LAPACK (``forms.zhetrd``) and make no decomposition of A."""
     calls = []
     linalg = numcore.sla
 

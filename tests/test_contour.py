@@ -8,7 +8,7 @@ import pytest
 
 import scipy.linalg as sla
 
-from sectorial import contour, eigenstate, numcore, schrodinger, semigroup
+from sectorial import cli, contour, eigenstate, numcore, schrodinger, semigroup
 from sectorial.contour import (
     CHUNK_NODES,
     TRACE_CHUNK_NODES,
@@ -64,6 +64,14 @@ def test_polyline_rule_self_test():
     rule = tri.rule()
     assert abs(rule.circulation()) <= 1e-10
     assert rule.winding(1.0 + 0.5j) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_polyline_default_panels_match_the_cli():
+    vertices = (-1.0 - 1.0j, 1.0 - 1.0j, 1.0 + 1.0j, -1.0 + 1.0j)
+    cfg = {"contour": {"type": "polyline", "vertices": [[z.real, z.imag] for z in vertices], "order": 5}}
+    library, cli_rule = Polyline(vertices, 5).rule(), cli.parse_contour(cfg).rule()
+    assert np.array_equal(library.nodes, cli_rule.nodes)
+    assert np.array_equal(library.weights, cli_rule.weights)
 
 
 def test_riesz_diagonal_projector():

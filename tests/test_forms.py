@@ -1,4 +1,8 @@
+import ctypes
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -110,18 +114,104 @@ def test_range_segment_points_stay_on_segment():
     assert b.is_convex()
 
 
+def _failing(step):
+    """``step`` run as it is, then its info (the last argument) set to 1.
+
+    A zhetrd workspace query (lwork, the ninth argument, at -1) is left to
+    succeed, so the failure is that of a reduction."""
+    reduces = step is forms.zhetrd
+
+    def fail(*args):
+        step(*args)
+        if not reduces or ctypes.c_int.from_address(args[8]).value != -1:
+            ctypes.c_int.from_address(args[-1]).value = 1
+    return fail
+
+
 def test_eigh_failure_is_no_convergence(monkeypatch):
     # a nonzero info from any LAPACK step of the eigen-helper is a typed failure;
     # require_range takes no eigenvectors, so it runs only the first two steps
     for routine in ("zhetrd", "dstebz", "dstein", "zunmqr"):
-        step = getattr(forms.lapack, routine)
         with monkeypatch.context() as mp:
-            mp.setattr(forms.lapack, routine, lambda *a, step=step, **k: (*step(*a, **k)[:-1], 1))
+            mp.setattr(forms, routine, _failing(getattr(forms, routine)))
             with pytest.raises(NoConvergenceError, match=routine):
                 forms.numerical_range(np.eye(2), 8)
             if routine in ("zhetrd", "dstebz"):
                 with pytest.raises(NoConvergenceError, match=routine):
                     forms.Sector(vertex=0.0, half_angle=0.5).require_range(np.eye(2))
+
+
+@pytest.mark.parametrize("routine", ["zhetrd", "dstebz", "dstein", "zunmqr"])
+def test_worker_failure_reaches_the_caller(monkeypatch, routine):
+    # fail only off the calling thread, which waits until a worker has made
+    # the call, so the error must cross from a worker; no thread outlives the sweep
+    caller, worker_called = threading.current_thread(), threading.Event()
+    step = getattr(forms, routine)
+    failing = _failing(step)
+
+    def fail_off_caller(*args):
+        if threading.current_thread() is caller:
+            worker_called.wait(10.0)
+            step(*args)
+        else:
+            failing(*args)
+            if ctypes.c_int.from_address(args[-1]).value == 1:  # not a workspace query
+                worker_called.set()
+
+    monkeypatch.setattr(forms, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(forms, routine, fail_off_caller)
+    threads = threading.active_count()
+    with pytest.raises(NoConvergenceError, match=f"LAPACK {routine} returned info=1"):
+        forms.numerical_range(np.eye(forms.THREAD_MIN_DIM), 16)
+    assert worker_called.is_set()
+    assert threading.active_count() == threads
+
+
+def test_caller_failure_stops_the_workers(monkeypatch):
+    # when the calling thread leaves the sweep, a worker ends after its current angle
+    caller, worker_started, caller_left = threading.current_thread(), threading.Event(), threading.Event()
+    worker_reductions = []
+    zhetrd = forms.zhetrd
+
+    def zhetrd_or_leave(*args):
+        if ctypes.c_int.from_address(args[8]).value != -1:  # a reduction, not a workspace query
+            if threading.current_thread() is caller:
+                worker_started.wait(10.0)
+                caller_left.set()
+                raise RuntimeError("caller left")
+            worker_started.set()
+            caller_left.wait(10.0)
+            time.sleep(0.05)  # time for the caller to unwind
+            worker_reductions.append(1)
+        zhetrd(*args)
+
+    monkeypatch.setattr(forms, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(forms, "zhetrd", zhetrd_or_leave)
+    with pytest.raises(RuntimeError, match="caller left"):
+        forms.numerical_range(np.eye(forms.THREAD_MIN_DIM), 128)
+    assert len(worker_reductions) == 1
+
+
+@pytest.mark.parametrize("cpus, threads", [(8, 2), (1, 1)])
+def test_sweep_threads_fit_the_workspace_bound(monkeypatch, cpus, threads):
+    # at most SWEEP_WORKSPACE_BYTES of workspace, whatever the CPU count; each thread builds one _Reducer
+    n = forms.THREAD_MIN_DIM
+    reducers = []
+
+    class Counted(forms._Reducer):
+        def __init__(self, n):
+            reducers.append(threading.get_ident())
+            super().__init__(n)
+
+    monkeypatch.setattr(forms, "_Reducer", Counted)
+    monkeypatch.setattr(forms, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(forms, "SWEEP_WORKSPACE_BYTES", 2 * 32 * n * n + 1)
+    forms.numerical_range(np.eye(n), 128)
+    assert len(reducers) == len(set(reducers)) == threads
+    monkeypatch.setattr(forms, "SWEEP_WORKSPACE_BYTES", 32 * n * n - 1)  # less than one thread's: still one
+    reducers.clear()
+    forms.numerical_range(np.eye(n), 128)
+    assert len(reducers) == 1
 
 
 def _exactly_hermitian(rng, n):
@@ -174,8 +264,14 @@ def test_paired_sweep_matches_independent_oracle(name, m):
 @pytest.mark.parametrize("m, reductions", [(16, 8), (17, 17)])
 def test_sweep_reduces_once_per_opposite_pair(monkeypatch, m, reductions):
     calls = []
-    zhetrd = forms.lapack.zhetrd
-    monkeypatch.setattr(forms.lapack, "zhetrd", lambda *a, **k: calls.append(a[0].shape) or zhetrd(*a, **k))
+    zhetrd = forms.zhetrd
+
+    def counted(*args):  # n, unless lwork = -1 makes the call a workspace query
+        if ctypes.c_int.from_address(args[8]).value != -1:
+            calls.append(ctypes.c_int.from_address(args[1]).value)
+        zhetrd(*args)
+
+    monkeypatch.setattr(forms, "zhetrd", counted)
 
     def no_eigh(*args, **kwargs):
         raise AssertionError("forms called scipy.linalg.eigh")
@@ -188,6 +284,27 @@ def test_sweep_reduces_once_per_opposite_pair(monkeypatch, m, reductions):
     forms.Sector(vertex=-100.0, half_angle=1.4).require_range(t)
     assert len(calls) == 3
     assert not hasattr(forms, "sla")
+
+
+@pytest.mark.parametrize("m", [16, 17, 128])
+@pytest.mark.parametrize("name", [*ORACLE_CASES, "sectorial n=128"])
+def test_threaded_sweep_has_the_sequential_bits(monkeypatch, name, m):
+    t = ORACLE_CASES.get(name)
+    t = rand_sectorial(np.random.default_rng(25), 128) if t is None else t
+    monkeypatch.setattr(forms, "THREAD_MIN_DIM", t.shape[0] + 1)
+    sequential = forms.numerical_range(t, m)
+    monkeypatch.setattr(forms, "THREAD_MIN_DIM", 1)
+    interval, threads = sys.getswitchinterval(), threading.active_count()
+    sys.setswitchinterval(1e-6)  # frequent thread switches: an angle left unswept shows
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(forms, "_cpu_count", lambda: workers)
+            b = forms.numerical_range(t, m)
+            for field in ("angles", "points", "support"):
+                assert np.array_equal(getattr(b, field), getattr(sequential, field)), (workers, field)
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_range_convexity_random(rng):

@@ -181,6 +181,14 @@ def test_compute_modules_bind_no_oracle():
     assert bound == []
 
 
+def test_forms_binds_one_lapack_path():
+    # the sweep and require_range reach LAPACK only through forms' own GIL-free bindings
+    from scipy.linalg import lapack
+    forms = importlib.import_module("sectorial.forms")
+    bound = [attr for attr, value in vars(forms).items() if value is lapack or attr in ("lapack", "sla")]
+    assert bound == []
+
+
 def test_expm_zero_is_identity():
     assert np.array_equal(numcore.expm_oracle(np.zeros((3, 3))), np.eye(3))
 
