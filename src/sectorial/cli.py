@@ -444,7 +444,8 @@ def run(config_path: str, output_dir: str | None = None, seed: int | None = None
     except NumericalFailure as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 3
-    meta = {"subcommand": sub, "seed": run_seed, "threads": threads or 1,
+    blas = numcore.blas_threads()  # the count OpenBLAS ran with; the --threads hint where none is found
+    meta = {"subcommand": sub, "seed": run_seed, "threads": (threads or 1) if blas is None else blas,
             "config": str(config_path), "summary": summary}
     (outdir / "summary.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return 0
@@ -456,8 +457,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--output", default=None, help="output directory (overrides config)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker hint only; results are byte-identical at a fixed "
-                             "BLAS thread count (OPENBLAS_NUM_THREADS)")
+                        help="worker hint only, recorded in summary.json where the OpenBLAS "
+                             "thread count cannot be read; results are byte-identical at a "
+                             "fixed BLAS thread count (OPENBLAS_NUM_THREADS)")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
     return run(args.config, output_dir=args.output, seed=args.seed, threads=args.threads)

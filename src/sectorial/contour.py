@@ -476,7 +476,9 @@ def enclosed_pair(a, contour):
     v, u = (np.asarray(p, dtype=complex) / np.linalg.norm(p)
             for p in _default_probes(a.shape[0]))
     zh = z.conj().T
-    right, left = _triangular_probe_sums(t, rule, zh @ v, (zh @ u).conj())
+    zv, zu = zh @ v, (zh @ u).conj()
+    del zh  # n^2 values the rest of the pass does not need
+    right, left = _triangular_probe_sums(t, rule, zv, zu)
     energy = enclosed_eigenvalue(*_enclosed_traces(t, rule))
     pv = z @ right / (-2j * math.pi)               # P v = phi (eta* v)
     pu = z @ left.conj() / (2j * math.pi)          # P* u = eta (phi* u)

@@ -13,13 +13,14 @@ projection.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contour import Circle, enclosed_pair, rank_of_projection
 from .errors import IsolationLostError, RankNotOneError
-from .numcore import as_matrix
+from .numcore import as_matrix, schur_ahead
 from . import schrodinger
 
 GAP_FLOOR = 1e-6
@@ -97,6 +98,14 @@ def track_eigenvalue(family_f, path, c0: Circle, s_values=None) -> list[TrackPoi
     to the rest of the spectrum is monitored and IsolationLostError raised
     when it falls below GAP_FLOOR.  Eigenvector phases are carried
     continuously; re-pinning events are flagged.
+
+    A step's contour depends on the step before, its Schur form does not:
+    family_f may be called one point ahead, on the calling thread, and its
+    output is copied once, so a family that refills one buffer is read
+    correctly.  The next point is decomposed on a second thread while a
+    step runs (:func:`numcore.schur_ahead`), which holds one extra
+    decomposition; every point, error and memo entry is the one a serial
+    run gives.
     """
     path = list(path)
     if s_values is None:
@@ -108,19 +117,20 @@ def track_eigenvalue(family_f, path, c0: Circle, s_values=None) -> list[TrackPoi
     out: list[TrackPoint] = []
     circle = c0
     pin = None
-    for k, (s, p) in enumerate(zip(s_values, path)):
-        # one probe pass gives the pair and E; its Schur spectrum gives the gap
-        phi, eta, energy, spec = enclosed_pair(family_f(p), circle)
-        gap = _gap_at(spec, energy)
-        if gap < GAP_FLOOR:
-            raise IsolationLostError(f"gap {gap:.3e} < floor {GAP_FLOOR:.1e} at step {k}")
-        pair = _pinned(phi, eta, pin)
-        repinned = k > 0 and pair.pin != pin
-        pin = pair.pin
-        out.append(TrackPoint(index=k, s=s, energy=energy, gap=gap,
-                              repinned=repinned, pair=pair))
-        radius = min(circle.radius, RADIUS_GAP_FACTOR * gap)
-        circle = Circle(center=energy, radius=radius, nodes=circle.nodes)
+    with closing(schur_ahead(family_f(p) for p in path)) as matrices:
+        for k, (s, a) in enumerate(zip(s_values, matrices)):
+            # one probe pass gives the pair and E; its Schur spectrum gives the gap
+            phi, eta, energy, spec = enclosed_pair(a, circle)
+            gap = _gap_at(spec, energy)
+            if gap < GAP_FLOOR:
+                raise IsolationLostError(f"gap {gap:.3e} < floor {GAP_FLOOR:.1e} at step {k}")
+            pair = _pinned(phi, eta, pin)
+            repinned = k > 0 and pair.pin != pin
+            pin = pair.pin
+            out.append(TrackPoint(index=k, s=s, energy=energy, gap=gap,
+                                  repinned=repinned, pair=pair))
+            radius = min(circle.radius, RADIUS_GAP_FACTOR * gap)
+            circle = Circle(center=energy, radius=radius, nodes=circle.nodes)
     return out
 
 

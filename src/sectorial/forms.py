@@ -15,7 +15,6 @@ in a sector is decided exactly from three support values
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 from collections import deque
@@ -23,10 +22,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack
 
 from .errors import NoConvergenceError, NotSectorialError, SectorViolationError
-from .numcore import as_matrix
+from .numcore import _addresses, _lapack, as_matrix
 
 CONVEXITY_SLACK = 1e-10
 DEFAULT_NODES = 256
@@ -46,36 +44,14 @@ def hermitian_split(t) -> tuple[np.ndarray, np.ndarray]:
     return (t + th) / 2.0, (t - th) / 2.0j
 
 
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def _lapack(name: str, nargs: int):
-    """LAPACK routine ``name`` as a ctypes function of ``nargs`` addresses.
-
-    ``scipy.linalg.cython_lapack`` exports the C entry point of each routine
-    of the LAPACK that ``scipy.linalg.lapack`` wraps, so the bits are those of
-    the f2py wrappers.  Those wrappers hold the GIL for the whole call; a
-    ctypes call releases it, so reductions on several threads run at once.
-    """
-    capsule = cython_lapack.__pyx_capi__[name]
-    address = _capsule_pointer(capsule, _capsule_name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
-
-
 # looked up by name at each call; info is every routine's last argument
 zhetrd = _lapack("zhetrd", 10)
 dstebz = _lapack("dstebz", 18)
 dstein = _lapack("dstein", 13)
 zunmqr = _lapack("zunmqr", 13)
-_CHARS = {c: ctypes.create_string_buffer(c) for c in (b"L", b"N", b"I", b"B")}
 
 
-def _addresses(*args) -> tuple:
-    """Each argument's address: an array's data, a one-letter option's buffer, an int as it is."""
-    return tuple(x.ctypes.data if isinstance(x, np.ndarray) else
-                 ctypes.addressof(_CHARS[x]) if isinstance(x, bytes) else x for x in args)
+_ZHETRD_LWORK = {}  # n -> zhetrd's optimal lwork, which depends on n alone
 
 
 class _Reducer:
@@ -88,19 +64,20 @@ class _Reducer:
     The top pair has the bits of ``scipy.linalg.eigh(h, subset_by_index=[n-1,
     n-1])``.  Every array and argument address is made once, here, so each
     matrix then takes three numpy operations and six GIL-free LAPACK calls.
+    A reducer made with ``vectors=False`` gives eigenvalues only, and makes
+    neither the vector arrays nor the last two steps' arguments.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, vectors: bool = True):
         self.a = np.empty((n, n), dtype=complex, order="F")  # h, then zhetrd's reflectors
         self.b = np.empty((n, n), dtype=complex, order="F")  # the second term of h
         self.d, self.e = np.empty(n), np.empty(max(n - 1, 1))  # e and tau hold n - 1 entries
         self.tau = np.empty(max(n - 1, 1), dtype=complex)
-        self.w, self.z = np.empty((2, n)), np.empty((2, n))  # per end: dstebz's value, dstein's vector
+        self.w = np.empty((2, n))  # per end: dstebz's value
         self.block, self.split = np.empty((2, n), dtype=np.int32), np.empty((2, n), dtype=np.int32)
         # dstebz takes 4n reals and 3n ints, dstein 5n reals, n ints and its ifail (at 3n)
         self.real_work, self.int_work = np.empty(5 * n), np.empty(4 * n, dtype=np.int32)
-        self.v = np.empty((n, 2), dtype=complex, order="F")
-        self.zero, self.small_work = np.zeros(1), np.empty(2, dtype=complex)
+        self.zero = np.zeros(1)
         # the integer arguments: n, n - 1, 1, 2, lwork (-1 asks for its size), info, dstebz's m and nsplit
         self.ints = np.array([n, n - 1, 1, 2, -1, 0, 0, 0], dtype=np.int32)
         self.info = self.ints[5:6]
@@ -108,19 +85,29 @@ class _Reducer:
 
         def zhetrd_args():
             return _addresses(b"L", n_, self.a, n_, self.d, self.e, self.tau, self.work, lwork, info)
-        self.work = np.empty(1, dtype=complex)
-        self._call("zhetrd", zhetrd_args())
-        self.ints[4] = int(self.work[0].real)
+        if n not in _ZHETRD_LWORK:  # the workspace query, once per n
+            self.work = np.empty(1, dtype=complex)
+            self._call("zhetrd", zhetrd_args())
+            _ZHETRD_LWORK[n] = int(self.work[0].real)
+        self.ints[4] = _ZHETRD_LWORK[n]
         self.work = np.empty(self.ints[4], dtype=complex)
         self.zhetrd_args = zhetrd_args()
+        # each array's address once; an end's row of w, z, block and split starts end * n entries in
+        d, e, w, block, split, real_work, int_work, zero = _addresses(
+            self.d, self.e, self.w, self.block, self.split, self.real_work, self.int_work, self.zero)
         self.dstebz_args = [
-            _addresses(b"I", b"B", n_, self.zero, self.zero, index, index, self.zero, self.d, self.e, found,
-                       nsplit, self.w[end], self.block[end], self.split[end], self.real_work, self.int_work,
-                       info)
+            _addresses(b"I", b"B", n_, zero, zero, index, index, zero, d, e, found, nsplit, w + 8 * n * end,
+                       block + 4 * n * end, split + 4 * n * end, real_work, int_work, info)
             for end, index in enumerate((n_, one))]
+        if not vectors:
+            return
+        self.z = np.empty((2, n))  # per end: dstein's vector
+        self.v = np.empty((n, 2), dtype=complex, order="F")
+        self.small_work = np.empty(2, dtype=complex)
+        z, ifail = _addresses(self.z, self.int_work[3 * n:])
         self.dstein_args = [
-            _addresses(n_, self.d, self.e, one, self.w[end], self.block[end], self.split[end], self.z[end],
-                       n_, self.real_work, self.int_work, self.int_work[3 * n:], info)
+            _addresses(n_, d, e, one, w + 8 * n * end, block + 4 * n * end, split + 4 * n * end, z + 8 * n * end,
+                       n_, real_work, int_work, ifail, info)
             for end in range(2)]
         # C = v[1:] and the reflectors below a's diagonal, both with leading dimension n;
         # lwork = 2 keeps zunmqr unblocked: it then gives zheevr's bits, the blocked one does not
@@ -188,7 +175,7 @@ class Sector:
         names the side with the largest excess over its bound.
         """
         tr, ti = (np.asfortranarray(h) for h in hermitian_split(t))
-        reducer = _Reducer(tr.shape[0])
+        reducer = _Reducer(tr.shape[0], vectors=False)
         edge = math.pi / 2 + self.half_angle
         excess, support = {}, []
         for side, phi in (("vertex", math.pi), ("upper edge", edge), ("lower edge", -edge)):

@@ -533,7 +533,33 @@ def test_main_flags_override(tmp_path):
                  "--threads", "2"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seed"] == 7
-    assert summary["threads"] == 2
+    blas = numcore.blas_threads()  # the hint is recorded only where OpenBLAS cannot be asked
+    assert summary["threads"] == (2 if blas is None else blas)
+
+
+def test_summary_records_the_openblas_thread_count(tmp_path):
+    # two processes that differ only in OPENBLAS_NUM_THREADS, each given the same --threads hint
+    if numcore.blas_threads() is None:
+        pytest.skip("no OpenBLAS library in scipy.libs to ask")
+    n = 6
+    cfg = write_cfg(tmp_path, "c.json", {
+        "subcommand": "density", "seed": 0,
+        "grid": {"d": 1, "n": n, "delta": 0.5, "particles": 2},
+        "fields": {"u0": [1.0 + math.cos(2 * math.pi * k / n) for k in range(n)]},
+    })
+    recorded = []
+    for count in ("1", "2"):
+        out = tmp_path / f"out{count}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=count,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "sectorial.cli", "--config", str(cfg),
+                               "--output", str(out), "--threads", "3"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        recorded.append(json.loads((out / "summary.json").read_text())["threads"])
+    # OpenBLAS caps its count at the CPUs it may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert recorded == [1, min(2, cpus)]
 
 
 def test_determinism_byte_identical(tmp_path):

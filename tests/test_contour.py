@@ -39,8 +39,8 @@ from sectorial.errors import (
 )
 from sectorial.forms import Sector, fit_sector, numerical_range
 
-from conftest import (count_decompositions, exact_hermitian, rand_complex, rand_hermitian,
-                      rand_sectorial)
+from conftest import (count_decompositions, exact_hermitian, lattice_problem, lattice_ramp_end,
+                      rand_complex, rand_hermitian, rand_sectorial)
 
 
 def oracle_projector(a, inside):
@@ -429,35 +429,11 @@ def test_track_step_is_one_pass_and_one_oracle(monkeypatch):
     assert not resolvents and not oracles
 
 
-def lattice_ramp_end(grid, space, base, dirs, x_end, w):
-    """Track along a 3-point ramp to x_end, then Hellmann-Feynman along w and
-    the density at the ramp end, on the last step's circle."""
-    fam, dfam = schrodinger.config_family(grid, space, base, dirs)
-    spec = numcore.eigvals_oracle(fam(np.zeros(len(dirs))))
-    c0 = Circle(complex(spec[0]), 0.4 * abs(spec[1] - spec[0]), 64)
-    steps = (0.0, 0.5, 1.0)
-    points = eigenstate.track_eigenvalue(fam, [s * x_end for s in steps], c0, s_values=steps)
-    radius = min([c0.radius] + [eigenstate.RADIUS_GAP_FACTOR * p.gap for p in points])
-    circle = Circle(points[-1].energy, radius, c0.nodes)
-    hf = eigenstate.hellmann_feynman(fam, x_end, w, circle, dfamily=dfam)
-    cfg_end = base
-    for c, d in zip(x_end, dirs):
-        cfg_end = cfg_end + c * d
-    rho, current = eigenstate.eigenstate_density(grid, space, cfg_end, circle)
-    pairs = [np.concatenate([p.pair.phi, p.pair.eta]) for p in points]
-    return [np.array([p.energy for p in points]), np.array([hf]), rho, current, *pairs]
-
-
 def test_lattice_ramp_end_is_decomposed_once(rng, monkeypatch):
-    grid = schrodinger.Grid(d=1, n=6, delta=0.5)
-    space = schrodinger.ManyBodySpace(grid=grid, particles=2)
-    x = np.arange(6)
-    base = schrodinger.FieldConfig.zero(grid, u0=1.5 + np.cos(2 * np.pi * x / 6),
-                                        v0=0.4 / (1.0 + (0.5 * np.minimum(x, 6 - x)) ** 2))
-    dirs = [schrodinger.delta_u(grid, j) for j in range(6)] \
-        + [schrodinger.delta_a(grid, 0, (j,)) for j in range(6)]
-    x_end = 0.05 * rng.standard_normal(len(dirs)) * (1.0 + 0.3j)
-    w = rng.standard_normal(len(dirs))
+    grid, space, base, dirs, x_end, w = lattice_problem(rng, 6)
+    # the serial loop, one decomposition at a time, so they come in path order (test_eigenstate's
+    # test_prefetched_lattice_job_makes_three_decompositions counts them with the next point ahead)
+    monkeypatch.setattr(eigenstate, "schur_ahead", iter)
     with monkeypatch.context() as patch:
         calls = count_decompositions(patch)
         shared = lattice_ramp_end(grid, space, base, dirs, x_end, w)

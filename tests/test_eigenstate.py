@@ -1,11 +1,16 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from sectorial import eigenstate as eg, numcore, schrodinger as sch
 from sectorial.contour import Circle, riesz_projection
-from sectorial.errors import IsolationLostError, RankNotOneError
+from sectorial.errors import IsolationLostError, NoConvergenceError, RankNotOneError
 
-from conftest import rand_complex, rand_hermitian
+from conftest import (count_decompositions, failing_decomposition, lattice_problem, lattice_ramp_end,
+                      rand_complex, rand_hermitian)
 
 
 def test_decompose_orthogonal_projector():
@@ -207,3 +212,139 @@ def test_monodromy_reporting_closed_loop(rng):
     pts = eg.track_eigenvalue(fam, svals, Circle(complex(spec[0]), 0.4 * gap, 128),
                               s_values=svals)
     assert abs(pts[-1].energy - pts[0].energy) <= 1e-10
+
+
+# -- the next point decomposed on a second thread (numcore.schur_ahead) -------
+
+def closing_ramp(n, close=0.0):
+    """family(s) = Q diag(0, 1 - close * s, 2, ...) Q* + s K: exactly hermitian
+    at s = 0 (``zheevd``), non-normal for s > 0 (``zgees``), with its ground
+    state isolated by 1 - close * s, less a perturbation of norm 0.01."""
+    rng = np.random.default_rng(40 + n)
+    q = np.linalg.qr(rand_complex(rng, n))[0]
+    rest = np.linspace(2.0, 4.0, n - 2)
+    k = rand_complex(rng, n)
+    k *= 0.01 / np.linalg.norm(k, 2)
+
+    def family(s):
+        h = q @ np.diag(np.concatenate([[0.0, 1.0 - close * s], rest])) @ q.conj().T
+        return (h + h.conj().T) / 2 + s * k
+    return family
+
+
+PATH = [0.0, 0.5, 1.0]
+C0 = Circle(0.0, 0.3, 128)
+
+
+def tracked_bits(points):
+    return [(p.index, p.s, p.energy, p.gap, p.repinned, p.pair.pin, p.pair.phi.tobytes(),
+             p.pair.eta.tobytes()) for p in points]
+
+
+@pytest.mark.parametrize("n", [12, 64])
+def test_prefetched_tracking_has_the_serial_bits(monkeypatch, n):
+    family = closing_ramp(n)
+    monkeypatch.setattr(eg, "schur_ahead", iter)  # the serial loop: each matrix as the family gives it
+    serial = tracked_bits(eg.track_eigenvalue(family, PATH, C0))
+    monkeypatch.undo()
+    numcore.drop_schur_memo()
+    caller, off_caller = threading.current_thread(), []
+    zgees = numcore.zgees
+
+    def noted(*args):
+        off_caller.append(threading.current_thread() is not caller)
+        zgees(*args)
+    monkeypatch.setattr(numcore, "zgees", noted)
+    interval, threads = sys.getswitchinterval(), threading.active_count()
+    sys.setswitchinterval(1e-6)  # frequent thread switches: a step reading a half-made entry shows
+    try:
+        ahead = tracked_bits(eg.track_eigenvalue(family, PATH, C0))
+    finally:
+        sys.setswitchinterval(interval)
+    assert ahead == serial
+    assert threading.active_count() == threads
+    assert any(off_caller)  # the ramp points' zgees run off the calling thread (their workspace queries on it)
+
+
+def failing_third(monkeypatch, family, fail_on):
+    """Track PATH with step 2's matrix failing: ``fail_on`` is "zgees" (info 1
+    from its decomposition) or "family" (family_f(PATH[2]) raises)."""
+    if fail_on == "zgees":  # step 1's decomposition is the first zgees, step 2's the second
+        calls = itertools.count()
+        monkeypatch.setattr(numcore, "zgees", failing_decomposition("zgees", lambda: next(calls) == 1))
+        return eg.track_eigenvalue(family, PATH, C0)
+
+    def raising(s):
+        if s == PATH[2]:
+            raise RuntimeError("no matrix at s = 1")
+        return family(s)
+    return eg.track_eigenvalue(raising, PATH, C0)
+
+
+@pytest.mark.parametrize("fail_on", ["zgees", "family"])
+def test_isolation_lost_at_a_step_wins_over_the_next_points_failure(monkeypatch, fail_on):
+    family = closing_ramp(32, close=0.9)  # gaps 1, 0.55, 0.1
+    threads = threading.active_count()
+    expected = NoConvergenceError if fail_on == "zgees" else RuntimeError
+    with monkeypatch.context() as patch:  # reached, step 2's failure is raised at step 2
+        with pytest.raises(expected):
+            failing_third(patch, family, fail_on)
+    assert threading.active_count() == threads
+    monkeypatch.setattr(eg, "GAP_FLOOR", 0.7)  # isolation lost at step 1, while step 2 is drawn or decomposed
+    with pytest.raises(IsolationLostError, match="at step 1"):
+        failing_third(monkeypatch, family, fail_on)
+    assert threading.active_count() == threads
+
+
+def test_no_thread_outlives_an_early_exit(monkeypatch):
+    # an interrupt from family_f is not deferred: it leaves while step 1's decomposition is in flight
+    class Interrupt(BaseException):
+        pass
+    family = closing_ramp(32)
+    caller, released, in_flight = threading.current_thread(), threading.Event(), []
+    zgees = numcore.zgees
+
+    def held(*args):  # step 1's zgees, off the calling thread, waits until the interrupt is raised
+        if threading.current_thread() is not caller:
+            released.wait(timeout=60)
+        zgees(*args)
+
+    def interrupted(s):
+        if s == PATH[2]:
+            in_flight.append(threading.active_count())
+            released.set()
+            raise Interrupt
+        return family(s)
+    monkeypatch.setattr(numcore, "zgees", held)
+    threads = threading.active_count()
+    with pytest.raises(Interrupt):
+        eg.track_eigenvalue(interrupted, PATH, C0)
+    assert in_flight == [threads + 1]
+    assert threading.active_count() == threads
+
+
+def test_a_family_refilling_one_buffer_tracks_the_same(monkeypatch):
+    family = closing_ramp(32)
+    buffer = np.empty((32, 32), dtype=complex)
+
+    def refilled(s):
+        buffer[:] = family(s)
+        return buffer
+    fresh = tracked_bits(eg.track_eigenvalue(family, PATH, C0))
+    numcore.drop_schur_memo()
+    assert tracked_bits(eg.track_eigenvalue(refilled, PATH, C0)) == fresh
+
+
+def test_prefetched_lattice_job_makes_three_decompositions(rng, monkeypatch):
+    problem = lattice_problem(rng, 6)
+    with monkeypatch.context() as patch:
+        calls = count_decompositions(patch)
+        ahead = lattice_ramp_end(*problem)
+    # the hermitian start and two ramp points; Hellmann-Feynman and the density reuse the last,
+    # and the start's zheevd and the first ramp point's zgees may begin in either order
+    assert sorted(kind for kind, _ in calls) == ["eigh", "schur", "schur"]
+    numcore.drop_schur_memo()
+    monkeypatch.setattr(eg, "schur_ahead", iter)
+    serial = lattice_ramp_end(*problem)
+    for got, ref in zip(ahead, serial):
+        assert got.tobytes() == ref.tobytes()

@@ -286,6 +286,26 @@ def test_sweep_reduces_once_per_opposite_pair(monkeypatch, m, reductions):
     assert not hasattr(forms, "sla")
 
 
+def test_zhetrd_workspace_is_queried_once_per_dimension(monkeypatch):
+    queries = []
+    zhetrd = forms.zhetrd
+
+    def counted(*args):  # n of each workspace query (lwork, the ninth argument, at -1)
+        if ctypes.c_int.from_address(args[8]).value == -1:
+            queries.append(ctypes.c_int.from_address(args[1]).value)
+        zhetrd(*args)
+
+    monkeypatch.setattr(forms, "zhetrd", counted)
+    monkeypatch.setattr(forms, "_ZHETRD_LWORK", {})
+    sector = forms.Sector(vertex=-100.0, half_angle=1.4)
+    for n in (7, 7, 5):
+        t = rand_complex(np.random.default_rng(26), n)
+        sector.require_range(t)
+        sector.require_range(t)
+        forms.numerical_range(t, 16)
+    assert queries == [7, 5]
+
+
 @pytest.mark.parametrize("m", [16, 17, 128])
 @pytest.mark.parametrize("name", [*ORACLE_CASES, "sectorial n=128"])
 def test_threaded_sweep_has_the_sequential_bits(monkeypatch, name, m):

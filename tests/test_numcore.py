@@ -7,7 +7,8 @@ import pytest
 from sectorial import cli, numcore
 from sectorial.errors import InvalidPError, NoConvergenceError, OverflowError_, SingularMatrixError
 
-from conftest import count_decompositions, exact_hermitian, rand_complex, rand_hermitian
+from conftest import count_decompositions, exact_hermitian, failing_decomposition, rand_complex, \
+    rand_hermitian
 
 
 def test_solve_identity():
@@ -105,20 +106,18 @@ def test_schur_oracle_takes_eigh_for_exactly_hermitian_input(rng, monkeypatch):
         calls.clear()
 
 
-def lapack_fails(monkeypatch, driver, a):
-    def boom(*args, **kw):
-        raise numcore.sla.LinAlgError("Schur form not found")
-    monkeypatch.setattr(numcore.sla, driver, boom)
-    with pytest.raises(NoConvergenceError, match="Schur form not found"):
+def lapack_fails(monkeypatch, routine, a):
+    monkeypatch.setattr(numcore, routine, failing_decomposition(routine))
+    with pytest.raises(NoConvergenceError, match=f"LAPACK {routine} returned info=1"):
         numcore.schur_oracle(a)
 
 
 def test_schur_oracle_maps_lapack_failure_to_no_convergence(monkeypatch):
-    lapack_fails(monkeypatch, "schur", np.triu(np.ones((3, 3))))
+    lapack_fails(monkeypatch, "zgees", np.triu(np.ones((3, 3))))
 
 
 def test_schur_oracle_maps_eigh_failure_to_no_convergence(monkeypatch):
-    lapack_fails(monkeypatch, "eigh", np.eye(3))
+    lapack_fails(monkeypatch, "zheevd", np.eye(3))
 
 
 def test_schur_oracle_hit_returns_the_kept_read_only_factors(rng, monkeypatch):
@@ -159,9 +158,7 @@ def test_schur_oracle_failure_keeps_no_entry(rng, monkeypatch):
     a, b = rand_complex(rng, 5), rand_complex(rng, 5)
     numcore.schur_oracle(a)
 
-    def boom(*args, **kw):
-        raise numcore.sla.LinAlgError("Schur form not found")
-    monkeypatch.setattr(numcore.sla, "schur", boom)
+    monkeypatch.setattr(numcore, "zgees", failing_decomposition("zgees"))
     with pytest.raises(NoConvergenceError):
         numcore.schur_oracle(b)
     # the miss dropped a's entry and the failure kept none for b
@@ -181,12 +178,22 @@ def test_compute_modules_bind_no_oracle():
     assert bound == []
 
 
-def test_forms_binds_one_lapack_path():
-    # the sweep and require_range reach LAPACK only through forms' own GIL-free bindings
+def test_forms_binds_one_lapack_path(rng, monkeypatch):
+    # the sweep, require_range and the Schur form reach LAPACK only through numcore's GIL-free binding
     from scipy.linalg import lapack
     forms = importlib.import_module("sectorial.forms")
     bound = [attr for attr, value in vars(forms).items() if value is lapack or attr in ("lapack", "sla")]
     assert bound == []
+    assert forms._lapack is numcore._lapack and forms._addresses is numcore._addresses
+
+    def no_scipy(*args, **kwargs):
+        raise AssertionError("numcore decomposed through scipy.linalg")
+    for name in ("schur", "eigh"):
+        monkeypatch.setattr(numcore.sla, name, no_scipy)
+    calls = count_decompositions(monkeypatch)
+    numcore.schur_oracle(rand_complex(rng, 5))
+    numcore.schur_oracle(exact_hermitian(rng, 5))
+    assert [kind for kind, _ in calls] == ["schur", "eigh"]
 
 
 def test_expm_zero_is_identity():
