@@ -22,7 +22,8 @@ each sum conjugated by Z once at the end.  Traces come from
 :func:`schur_trace_sum`, sum_i 1/(t_ii - zeta_j) per node, and give
 :func:`extract_eigenvalue` Tr P and Tr AP.  The rank-one pair phi, eta of an
 isolated eigenvalue (:func:`enclosed_pair`) takes one back and one forward
-substitution on T - zeta_j per node, O(n^2), and b / pivots on a diagonal T.
+substitution on T - zeta_j per node, O(n^2), and b / pivots on a diagonal T;
+it is kept with the Schur form, so a repeat (matrix, contour) takes none.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from .errors import (
     SpectrumHitError,
 )
 from .forms import Sector
-from .numcore import PairwiseAccumulator, as_matrix, pairwise_sum, schur_oracle
+from .numcore import (PairwiseAccumulator, as_matrix, keep_pair, kept_pair, pairwise_sum,
+                      schur_oracle)
 
 DEFAULT_CIRCLE_NODES = 128
 DEFAULT_GAUSS_ORDER = 16
@@ -181,8 +183,15 @@ def _chunks(rule: QuadratureRule, step: int):
 
 def _is_diagonal(t: np.ndarray) -> bool:
     """Whether the triangular T has nothing above its diagonal.  A nonzero on
-    the first superdiagonal, which almost every other T has, answers in O(n)."""
-    return not (np.any(np.diagonal(t, 1)) or np.any(np.triu(t, 1)))
+    the first superdiagonal, which almost every other T has, answers in O(n).
+    Otherwise the entries between diagonal entries i and i + 1 of T's storage
+    (C or Fortran order alike) are tested as the rows of a view, so no n x n
+    array is formed."""
+    if np.any(np.diagonal(t, 1)):
+        return False
+    n = t.shape[0]
+    storage = t.ravel(order="K")
+    return n < 2 or not np.any(storage[1:].reshape(n - 1, n + 1)[:, :n])
 
 
 def _schur_pivots(t: np.ndarray, z: np.ndarray, first: int):
@@ -305,7 +314,12 @@ def schur_trace_sum(t, rule: QuadratureRule, funcs) -> list[complex]:
     t = as_matrix(t)
     if np.any(np.tril(t, -1)):
         raise ValueError("expected an upper-triangular matrix")
+    return _schur_traces(t, rule, funcs)
 
+
+def _schur_traces(t, rule: QuadratureRule, funcs) -> list[complex]:
+    """:func:`schur_trace_sum` on a Schur factor T, upper triangular by
+    construction, without the checks of its input, which form n x n arrays."""
     def traces(chunk, lo):
         inv = _schur_pivots(t, chunk.nodes, lo)[1]
         tr = np.zeros(chunk.nodes.size, dtype=complex)
@@ -393,7 +407,7 @@ def enclosed_eigenvalue(tr_p, tr_ap) -> complex:
 
 def _enclosed_traces(t, rule: QuadratureRule) -> list[complex]:
     """(Tr P, Tr AP) over the contour from the trace engine on a Schur form T."""
-    sums = schur_trace_sum(t, rule, [lambda z: 1.0, lambda z: z])
+    sums = _schur_traces(t, rule, [lambda z: 1.0, lambda z: z])
     return [-s / (2j * math.pi) for s in sums]
 
 
@@ -420,10 +434,15 @@ def _shifted_triangular_solves(t, z, b, c, first: int = 0):
     piv = _schur_pivots(t, z, first)[0]
     tc = np.ascontiguousarray(t.T)  # row i holds column i of T
     x, y = xy = np.empty((2,) + piv.shape, dtype=complex)
+    # each row is formed in place: (b_i - T[i, i+1:] X[i+1:]) / pivot_i, then its Y twin
     for i in range(len(t) - 1, -1, -1):
-        x[i] = (b[i] - t[i, i + 1:] @ x[i + 1:]) / piv[i]
+        row = x[i]
+        np.matmul(t[i, i + 1:], x[i + 1:], out=row)
+        np.divide(np.subtract(b[i], row, out=row), piv[i], out=row)
     for i in range(len(t)):
-        y[i] = (c[i] - tc[i, :i] @ y[:i]) / piv[i]
+        row = y[i]
+        np.matmul(tc[i, :i], y[:i], out=row)
+        np.divide(np.subtract(c[i], row, out=row), piv[i], out=row)
     return xy
 
 
@@ -443,12 +462,78 @@ def _triangular_probe_sums(t, rule: QuadratureRule, b, c):
                  lambda chunk, lo: np.moveaxis(solves(chunk, lo), -1, 0))[0]
 
 
+@dataclass(frozen=True)
+class _PairFact:
+    """One enclosed_pair result and the figures its checks compare, kept
+    with the Schur memo entry of its A (:func:`numcore.keep_pair`).  ``key``
+    holds the bits of the rule (closed flag, nodes, weights) and of the
+    probes v, u; phi and eta are read-only."""
+
+    key: tuple
+    phi: np.ndarray
+    eta: np.ndarray
+    energy: complex
+    tr_p: complex
+    cos_v: float
+    cos_u: float
+    res_phi: float
+    res_eta: float
+    col_norm: float  # the largest column norm of A, the residuals' scale
+
+
+def _bits(x) -> tuple:
+    x = np.asarray(x)
+    return x.dtype.str, x.shape, x.tobytes()
+
+
+def _pair_pass(a, rule: QuadratureRule, t, z, v, u, key: tuple) -> _PairFact:
+    """The probe pass of :func:`enclosed_pair` on the Schur form A = Z T Z*:
+    phi, eta, E and every figure its checks compare, none of them checked."""
+    zv, zu = (z.T @ v.conj()).conj(), z.T @ u.conj()  # Z* v and conj(Z* u), Z* not formed
+    right, left = _triangular_probe_sums(t, rule, zv, zu)
+    tr_p, tr_ap = _enclosed_traces(t, rule)
+    energy = complex(tr_ap)
+    pv = z @ right / (-2j * math.pi)               # P v = phi (eta* v)
+    pu = z @ left.conj() / (2j * math.pi)          # P* u = eta (phi* u)
+    with np.errstate(all="ignore"):  # a probe orthogonal to its vector gives 0 / 0
+        phi = pv / np.linalg.norm(pv)
+        overlap_u = complex(phi.conj() @ pu)       # phi* P* u = phi* u
+        eta = pu / overlap_u
+        eta_norm = np.linalg.norm(eta)
+        cos_v = float(np.linalg.norm(pv) / eta_norm)
+        # figures that only gate a check, from no n x n temporary: column norms
+        # from the real and imaginary views, and eta* A for (A* eta)*
+        col_sq = np.einsum("ij,ij->j", a.real, a.real) + np.einsum("ij,ij->j", a.imag, a.imag)
+        res_phi = float(np.linalg.norm(a @ phi - energy * phi))
+        res_eta = float(np.linalg.norm(eta.conj() @ a - energy * eta.conj()) / eta_norm)
+    for m in (phi, eta):
+        m.flags.writeable = False
+    return _PairFact(key=key, phi=phi, eta=eta, energy=energy, tr_p=tr_p, cos_v=cos_v,
+                     cos_u=abs(overlap_u), res_phi=res_phi, res_eta=res_eta,
+                     col_norm=float(np.sqrt(col_sq.max())))
+
+
+def _check_pair(fact: _PairFact) -> None:
+    """The checks of :func:`enclosed_pair` after its clearance check, in
+    order, on one pass's figures, with the module's bounds as they are now."""
+    enclosed_eigenvalue(fact.tr_p, fact.energy)
+    if not (fact.cos_v >= PROBE_FLOOR and fact.cos_u >= PROBE_FLOOR):  # NaN fails too
+        raise ProbeOrthogonalError(
+            f"probe overlaps |eta* v|/|eta| = {fact.cos_v:.3e}, |phi* u| = {fact.cos_u:.3e}: "
+            f"need >= {PROBE_FLOOR:.0e} for both")
+    scale = RESIDUAL_TOL * fact.col_norm
+    if not (fact.res_phi <= scale and fact.res_eta <= scale):
+        raise RankNotOneError(
+            f"residuals |A phi - E phi| = {fact.res_phi:.3e}, |A* eta - conj(E) eta|/|eta| = "
+            f"{fact.res_eta:.3e} exceed {RESIDUAL_TOL:.0e} x max column norm = {scale:.3e}")
+
+
 def enclosed_pair(a, contour):
     """(phi, eta, E, spectrum) of the isolated simple eigenvalue E the contour
     encloses: its Riesz projection is P = phi eta* with |phi| = 1 and
     eta* phi = 1, E = Tr AP, and ``spectrum`` is the Schur spectrum diag(T),
     sorted like :func:`numcore.eigvals_oracle`, that cleared the contour.
-    P itself is never formed.
+    P itself is never formed; phi and eta are read-only.
 
     The contour is applied to the fixed probes v, u of :func:`_default_probes`
     instead of the identity (Sakurai & Sugiura, J. Comput. Appl. Math. 159,
@@ -459,8 +544,17 @@ def enclosed_pair(a, contour):
     substitution on T - zeta_j per node, or b / pivots on a diagonal T
     (:func:`_triangular_probe_sums`), and Tr P, Tr AP come from
     :func:`schur_trace_sum` on T.  At n = 256 and 128 nodes (one BLAS
-    thread) a pass takes ~0.1 s, mostly Schur, and ~0.01 s (~5 ms for a
-    diagonal T) on the A of the last :func:`numcore.schur_oracle` call.
+    thread) a pass takes ~0.1 s, mostly Schur, ~7 ms (~3 ms for a diagonal
+    T) on the A of the last :func:`numcore.schur_oracle` call, and ~0.5 ms
+    for a repeat (matrix, contour, probes).
+
+    The result of the last pass whose checks all held is kept with that
+    call's memo entry (:func:`numcore.keep_pair`), keyed by the bits of the
+    rule's nodes, weights and closed flag and of the probes.  A repeat
+    solves nothing: it applies every check below again to the kept figures,
+    with the bounds as they are then, and returns the kept phi, eta and E,
+    so it raises what a pass would.  A pass that fails a check keeps
+    nothing, and the kept result dies with its entry.
 
     Checks, each raising a typed error: the clearance oracle; a node on a
     Schur pivot (SpectrumHitError); Tr P through
@@ -475,32 +569,13 @@ def enclosed_pair(a, contour):
     a, rule, t, z, spec = _cleared(a, contour)
     v, u = (np.asarray(p, dtype=complex) / np.linalg.norm(p)
             for p in _default_probes(a.shape[0]))
-    zh = z.conj().T
-    zv, zu = zh @ v, (zh @ u).conj()
-    del zh  # n^2 values the rest of the pass does not need
-    right, left = _triangular_probe_sums(t, rule, zv, zu)
-    energy = enclosed_eigenvalue(*_enclosed_traces(t, rule))
-    pv = z @ right / (-2j * math.pi)               # P v = phi (eta* v)
-    pu = z @ left.conj() / (2j * math.pi)          # P* u = eta (phi* u)
-    with np.errstate(all="ignore"):  # a probe orthogonal to its vector gives 0 / 0
-        phi = pv / np.linalg.norm(pv)
-        overlap_u = complex(phi.conj() @ pu)       # phi* P* u = phi* u
-        eta = pu / overlap_u
-        eta_norm = float(np.linalg.norm(eta))
-        cos_v = float(np.linalg.norm(pv)) / eta_norm
-    cos_u = abs(overlap_u)
-    if not (cos_v >= PROBE_FLOOR and cos_u >= PROBE_FLOOR):  # NaN fails too
-        raise ProbeOrthogonalError(
-            f"probe overlaps |eta* v|/|eta| = {cos_v:.3e}, |phi* u| = {cos_u:.3e}: "
-            f"need >= {PROBE_FLOOR:.0e} for both")
-    scale = RESIDUAL_TOL * float(np.linalg.norm(a, axis=0).max())
-    res_phi = float(np.linalg.norm(a @ phi - energy * phi))
-    res_eta = float(np.linalg.norm(a.conj().T @ eta - np.conj(energy) * eta)) / eta_norm
-    if not (res_phi <= scale and res_eta <= scale):
-        raise RankNotOneError(
-            f"residuals |A phi - E phi| = {res_phi:.3e}, |A* eta - conj(E) eta|/|eta| = "
-            f"{res_eta:.3e} exceed {RESIDUAL_TOL:.0e} x max column norm = {scale:.3e}")
-    return phi, eta, energy, spec
+    key = (rule.closed, *(_bits(x) for x in (rule.nodes, rule.weights, v, u)))
+    fact = kept_pair(t)
+    if fact is None or fact.key != key:
+        fact = _pair_pass(a, rule, t, z, v, u, key)
+    _check_pair(fact)
+    keep_pair(t, fact)
+    return fact.phi, fact.eta, fact.energy, spec
 
 
 def rank_of_projection(p, defect: float | None = None) -> int:

@@ -6,9 +6,9 @@ pair phi, eta and E = Tr AP of an enclosed eigenvalue, never the n x n
 projection: they take it from :func:`sectorial.contour.enclosed_pair`, in
 the same Schur basis as every other contour quantity: one Schur
 decomposition per distinct matrix and two O(n^2) triangular probe solves
-per node, whose residual checks stand in for the idempotency and
-singular-value rank tests :func:`rank_one_decompose` applies to a full
-projection.
+per node, none for a repeat (matrix, contour), whose residual checks stand
+in for the idempotency and singular-value rank tests
+:func:`rank_one_decompose` applies to a full projection.
 """
 
 from __future__ import annotations
@@ -156,6 +156,8 @@ def hellmann_feynman(family_f, x, w, contour: Circle, dfamily=None) -> complex:
     decomposition per distinct H, so a pass on the H the last tracking step
     solved reuses it, and two triangular solves per node), which checks
     phi and eta as right and left eigenvectors to ``contour.RESIDUAL_TOL`` * |H|.
+    The pair is kept with H's decomposition, so a density on the same H and
+    contour that follows (:func:`eigenstate_density`) makes no pass.
 
     ``dfamily(x, w)`` supplies the directional derivative of the form matrix;
     when omitted it is taken as the central difference of family_f over
@@ -176,10 +178,11 @@ def eigenstate_density(grid, space, cfg, contour: Circle):
     """(rho, J) of the isolated eigenstate of a lattice family enclosed by the contour.
 
     Takes the rank-one pair from one probe pass (:func:`enclosed_pair`: one
-    Schur decomposition per distinct matrix, so the matrix a Hellmann-Feynman
-    pass just solved is not decomposed again, and two triangular solves per
+    Schur decomposition per distinct matrix and two triangular solves per
     node) and evaluates the lattice charge/current formulas at the
-    configuration's vector potential.
+    configuration's vector potential.  After a Hellmann-Feynman pass on the
+    same matrix and contour, the pair kept with its decomposition is
+    returned and no pass runs.
     """
     matrix = schrodinger.family(grid, space, cfg)
     phi, eta, _, _ = enclosed_pair(matrix, contour)

@@ -18,6 +18,7 @@ import ctypes
 import functools
 import threading
 import warnings
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -253,7 +254,8 @@ class _SchurJob:
         # n, leading dimension, lwork (-1 asks for its size), lrwork, liwork, zgees' sdim, info
         self.ints = np.array([n, max(n, 1), -1, 0, 0, 0, 0], dtype=np.int32)
         n_, ld, lwork, lrwork, liwork, sdim, info = (self.ints.ctypes.data + 4 * i for i in range(7))
-        if np.array_equal(a, a.conj().T):
+        # a diagonal entry off the real axis settles it in O(n), before the n x n comparison
+        if not np.diagonal(a).imag.any() and np.array_equal(a, a.conj().T):
             self.routine = "zheevd"
             work_size, iwork_size, rwork_size, _ = zheevd_lwork(n, compute_v=1, lower=1)
             self.ints[2:5] = int(work_size.real), int(rwork_size), int(iwork_size)
@@ -291,7 +293,22 @@ class _SchurJob:
         return out
 
 
-_schur_last = None  # (read-only copy of A, T, Z, spectrum) of the last decomposition
+class _SchurEntry:
+    """What :func:`schur_oracle` keeps of its last decomposition: ``a``, a
+    read-only A that is the key; ``factors``, (T, Z, spectrum); and
+    ``pair``, the last rank-one pair established on that A
+    (:func:`contour.enclosed_pair`), None until one is.  The pair lives and
+    dies with the entry."""
+
+    __slots__ = ("a", "factors", "pair")
+
+    def __init__(self, a: np.ndarray, factors: tuple):
+        self.a, self.factors, self.pair = a, factors, None
+
+
+_schur_last = None  # the _SchurEntry of the last decomposition
+# the read-only copies schur_ahead made, by id: nothing writes them, so one can be a key uncopied
+_sealed = weakref.WeakValueDictionary()
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -301,9 +318,24 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def drop_schur_memo() -> None:
-    """Forget the decomposition :func:`schur_oracle` holds."""
+    """Forget the decomposition :func:`schur_oracle` holds, and the pair kept with it."""
     global _schur_last
     _schur_last = None
+
+
+def kept_pair(t: np.ndarray):
+    """The pair :func:`keep_pair` kept with the entry whose T is ``t``, or
+    None when there is none or no entry holds that T."""
+    entry = _schur_last
+    return entry.pair if entry is not None and entry.factors[0] is t else None
+
+
+def keep_pair(t: np.ndarray, pair) -> None:
+    """Keep ``pair`` with the entry whose T is ``t``, in place of the pair
+    kept there; nothing when no entry holds that T."""
+    entry = _schur_last
+    if entry is not None and entry.factors[0] is t:
+        entry.pair = pair
 
 
 def schur_oracle(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,23 +360,26 @@ def schur_oracle(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     One decomposition per distinct matrix: the last one is kept, with a copy
     of its A, and a call on an A of the same shape and raw bits returns it
     without calling LAPACK, so the passes that read one H_x (the last
-    tracking step, Hellmann-Feynman, densities) share it.  A miss drops the
-    kept entry before decomposing; a failed decomposition leaves none.  The
-    returned arrays are read-only and shared between hits.  The entry holds
-    3n^2 complex values: 3 MB at n = 256, 192 MB at n = 2048.
+    tracking step, Hellmann-Feynman, densities) share it.  The read-only
+    copy :func:`schur_ahead` yields is kept as it is, not copied again.  A
+    miss drops the kept entry, and the pair kept with it (:func:`kept_pair`),
+    before decomposing; a failed decomposition leaves none.  The returned
+    arrays are read-only and shared between hits.  The entry holds 3n^2
+    complex values: 3 MB at n = 256, 192 MB at n = 2048.
     """
     global _schur_last
     a = as_matrix(a)
     last = _schur_last
-    if last is not None and _same_bits(a, last[0]):
-        return last[1:]
+    if last is not None and _same_bits(a, last.a):
+        return last.factors
     _schur_last = last = None  # free the old entry before decomposing
     job = _SchurJob(a)
     job.run()
     factors = job.factors()
-    key = a.copy()
-    key.flags.writeable = False
-    _schur_last = (key, *factors)
+    if _sealed.get(id(a)) is not a:
+        a = a.copy()
+        a.flags.writeable = False
+    _schur_last = _SchurEntry(a, factors)
     return factors
 
 
@@ -358,6 +393,7 @@ def _drawn(items):
     except Exception as exc:  # re-raised unchanged when this matrix's turn comes
         return None, exc
     a.flags.writeable = False
+    _sealed[id(a)] = a
     return a, None
 
 
@@ -367,20 +403,22 @@ def schur_ahead(matrices):
 
     Each matrix is drawn on the calling thread, one ahead of the one
     yielded, and copied once into a read-only complex array: that array is
-    what is yielded and the A of its memo entry, so an iterable that refills
-    one buffer is read correctly.  A drawn matrix without the bits of the
-    one before it starts its decomposition on a thread of its own
-    (:class:`_SchurJob`: workspace allocated here, only the LAPACK call on
-    the thread) before the one before it is yielded, and that decomposition
-    becomes :func:`schur_oracle`'s entry just before the matrix itself is
-    yielded; the first matrix, and one with the bits of the one before, is
-    left to the caller's :func:`schur_oracle` call, which then decomposes
-    it as a serial loop would, or hits.  So a decomposition runs beside the
-    caller's work on the matrix before it, at most two decompositions are
-    in flight (the one the caller is about to get and the next), and every
-    memo hit and miss is the serial loop's.  The old entry is freed before
-    the next matrix is drawn; the extra decomposition holds 3n^2 complex
-    values (192 MB at n = 2048) and its workspace.  Below n ~ 26 the thread
+    what is yielded and the A of its memo entry, whether this generator or
+    the caller's :func:`schur_oracle` call makes the entry, so an iterable
+    that refills one buffer is read correctly.  A drawn matrix without the
+    bits of the one before it starts its decomposition on a thread of its
+    own (:class:`_SchurJob`: workspace allocated here, only the LAPACK call
+    on the thread) before the one before it is yielded, and that
+    decomposition becomes :func:`schur_oracle`'s entry just before the
+    matrix itself is yielded; the first matrix, and one with the bits of the
+    one before, is left to the caller's :func:`schur_oracle` call, which
+    then decomposes it as a serial loop would, or hits.  So a decomposition
+    runs beside the caller's work on the matrix before it, at most two
+    decompositions are in flight (the one the caller is about to get and
+    the next), and every memo hit and miss is the serial loop's.  The old
+    entry, and the pair kept with it, is freed before the next matrix is
+    drawn; the extra decomposition holds 3n^2 complex values (192 MB at
+    n = 2048) and its workspace.  Below n ~ 26 the thread
     costs more than the decomposition it takes over: 0.25-0.4 ms a point
     (one BLAS thread, 2 vCPUs), the price of one path at every n.
 
@@ -408,7 +446,7 @@ def schur_ahead(matrices):
                 next_worker.start()
             if worker is not None:
                 worker.join()
-                _schur_last = (a, *job.factors())
+                _schur_last = _SchurEntry(a, job.factors())
             job, worker = next_job, next_worker
             yield a
     finally:

@@ -236,18 +236,33 @@ def _kinetic_one_particle_derivative(grid: Grid, a: np.ndarray, da: np.ndarray) 
     return k
 
 
+def _add_diagonal(m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """m + diag(d), in place on m, with the bits of adding the full matrix
+    when no part of m off its diagonal is -0.0: adding +0.0 there changes
+    nothing.  That holds for any sum that starts from zeros, such as
+    :func:`one_body_to_many`'s, since x + y is -0.0 only when both are."""
+    i = np.arange(len(m))
+    m[i, i] += d
+    return m
+
+
 def one_body_to_many(space: ManyBodySpace, m1: np.ndarray) -> np.ndarray:
-    """sum_alpha I x ... x M1 x ... x I on the tensor grid."""
-    s = space.sites
-    eye = np.eye(s, dtype=complex)
+    """sum_alpha I x ... x M1 x ... x I on the tensor grid.
+
+    Term alpha adds M1 to the blocks where every other particle keeps its
+    site, in particle order, into a zero matrix.  The Kronecker products
+    hold M1 x 1 there and zeros elsewhere; adding a zero of either sign
+    leaves an entry that starts at +0 as it is, and M1 x 1 differs from M1
+    only in the sign of a zero part, so the bits are those of summing the
+    Kronecker products, which are not formed.
+    """
+    s, n = space.sites, space.particles
     total = np.zeros((space.dim, space.dim), dtype=complex)
-    for alpha in range(space.particles):
-        factors = [eye] * space.particles
-        factors[alpha] = m1
-        acc = factors[0]
-        for fac in factors[1:]:
-            acc = np.kron(acc, fac)
-        total += acc
+    axes = total.reshape((s,) * (2 * n))  # row sites, then column sites
+    for alpha in range(n):
+        for rest in itertools.product(range(s), repeat=n - 1):
+            sites = rest[:alpha] + (slice(None),) + rest[alpha:]
+            axes[sites + sites] += m1
     return total
 
 
@@ -281,6 +296,11 @@ def potential_form(space: ManyBodySpace, w, per_particle: bool = True) -> np.nda
     if not per_particle:
         w = np.asarray(w, dtype=complex).reshape(space.dim)
         return np.diag(w)
+    return np.diag(_potential_diagonal(space, w))
+
+
+def _potential_diagonal(space: ManyBodySpace, w) -> np.ndarray:
+    """The diagonal sum_alpha w(x_alpha) of :func:`potential_form` for a site field w."""
     w = np.asarray(w, dtype=complex).reshape(space.sites)
     shape = (space.sites,) * space.particles
     diag = np.zeros(shape, dtype=complex)
@@ -288,7 +308,7 @@ def potential_form(space: ManyBodySpace, w, per_particle: bool = True) -> np.nda
         bshape = [1] * space.particles
         bshape[alpha] = space.sites
         diag = diag + w.reshape(bshape)
-    return np.diag(diag.reshape(-1))
+    return diag.reshape(-1)
 
 
 def interaction_form(space: ManyBodySpace, v) -> np.ndarray:
@@ -296,10 +316,15 @@ def interaction_form(space: ManyBodySpace, v) -> np.ndarray:
 
     v is a kernel on torus displacements; the zero form for one particle.
     """
+    return np.diag(_interaction_diagonal(space, v))
+
+
+def _interaction_diagonal(space: ManyBodySpace, v) -> np.ndarray:
+    """The diagonal of :func:`interaction_form`: zeros for one particle."""
     grid = space.grid
     v = np.asarray(v, dtype=complex).reshape(grid.shape)
     if space.particles == 1:
-        return np.zeros((space.dim, space.dim), dtype=complex)
+        return np.zeros(space.dim, dtype=complex)
     coords = np.array([grid.site_coords(s) for s in range(space.sites)])
     # pair lookup: V2[s, s'] = v((coords' - coords) mod n)
     disp = (coords[None, :, :] - coords[:, None, :]) % grid.n
@@ -312,7 +337,7 @@ def interaction_form(space: ManyBodySpace, v) -> np.ndarray:
             bshape[alpha] = space.sites
             bshape[beta] = space.sites
             diag = diag + v2.reshape(bshape)
-    return np.diag(diag.reshape(-1))
+    return diag.reshape(-1)
 
 
 def family(grid: Grid, space: ManyBodySpace, cfg: FieldConfig) -> np.ndarray:
@@ -327,20 +352,21 @@ def family(grid: Grid, space: ManyBodySpace, cfg: FieldConfig) -> np.ndarray:
     if fmax >= 1.0:
         raise ModulationTooLargeError(f"|f|_inf = {fmax:.4f} >= 1")
     w = cfg.u0 + cfg.u + cfg.f * cfg.u0
-    return (kinetic_form(grid, space, cfg.a)
-            + potential_form(space, w)
-            + interaction_form(space, cfg.v0 + cfg.v))
+    out = kinetic_form(grid, space, cfg.a)
+    _add_diagonal(out, _potential_diagonal(space, w))
+    return _add_diagonal(out, _interaction_diagonal(space, cfg.v0 + cfg.v))
 
 
 def family_derivative(grid: Grid, space: ManyBodySpace, cfg: FieldConfig,
                       direction: FieldConfig) -> np.ndarray:
     """Exact directional derivative of :func:`family` at cfg along direction."""
-    dw = direction.u + direction.f * cfg.u0
-    out = potential_form(space, dw)
+    dw = _potential_diagonal(space, direction.u + direction.f * cfg.u0)
     if np.any(direction.a):
-        out = out + kinetic_form_derivative(grid, space, cfg.a, direction.a)
+        out = _add_diagonal(kinetic_form_derivative(grid, space, cfg.a, direction.a), dw)
+    else:
+        out = np.diag(dw)
     if np.any(direction.v):
-        out = out + interaction_form(space, direction.v)
+        _add_diagonal(out, _interaction_diagonal(space, direction.v))
     return out
 
 
@@ -350,14 +376,24 @@ def config_family(grid: Grid, space: ManyBodySpace, base: FieldConfig, direction
     Returns (fam, dfam) where fam(p) assembles the matrix at coefficient
     vector p and dfam(p, w) the exact directional derivative (the family is
     polynomial, so it is linear algebra, not differencing).
+
+    The configuration at p is the fold cfg + p_i dir_i over the nonzero p_i,
+    in order, made on the field arrays and wrapped in one FieldConfig at the
+    end: each field takes the elementwise operations ``cfg + complex(p_i) *
+    dir_i`` takes, so the matrix has its bits.  A direction on another grid
+    with a nonzero coefficient raises DimensionMismatchError.
     """
     directions = list(directions)
 
     def at(cfg, p):
-        for coeff, direction in zip(np.asarray(p).ravel(), directions):
+        u, a, v, f = cfg.u, cfg.a, cfg.v, cfg.f
+        for coeff, d in zip(np.asarray(p).ravel(), directions):
             if coeff != 0:
-                cfg = cfg + complex(coeff) * direction
-        return cfg
+                if d.grid != cfg.grid:
+                    raise DimensionMismatchError("grids differ")
+                z = complex(coeff)
+                u, a, v, f = u + z * d.u, a + z * d.a, v + z * d.v, f + z * d.f
+        return replace(cfg, u=u, a=a, v=v, f=f)
 
     def fam(p):
         return family(grid, space, at(base, p))

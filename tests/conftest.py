@@ -9,7 +9,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
-from sectorial import eigenstate, numcore, schrodinger
+from sectorial import contour, eigenstate, numcore, schrodinger
 from sectorial.contour import Circle
 
 
@@ -60,6 +60,21 @@ def count_decompositions(monkeypatch):
         return call
     monkeypatch.setattr(numcore, "zgees", counted("schur", numcore.zgees, 3, 11))
     monkeypatch.setattr(numcore, "zheevd", counted("eigh", numcore.zheevd, 2, 7))
+    return calls
+
+
+def count_pair_passes(monkeypatch):
+    """Log of the probe passes :func:`contour.enclosed_pair` makes while the
+    test runs, as (T, rule), one per call of ``contour._triangular_probe_sums``,
+    which the pass looks up at each call and a pair kept with the Schur
+    memo entry does not make."""
+    calls = []
+    sums = contour._triangular_probe_sums
+
+    def counted(t, rule, b, c):
+        calls.append((t, rule))
+        return sums(t, rule, b, c)
+    monkeypatch.setattr(contour, "_triangular_probe_sums", counted)
     return calls
 
 

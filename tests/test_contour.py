@@ -2,6 +2,8 @@ import cmath
 import math
 import sys
 import tracemalloc
+import weakref
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -39,8 +41,8 @@ from sectorial.errors import (
 )
 from sectorial.forms import Sector, fit_sector, numerical_range
 
-from conftest import (count_decompositions, exact_hermitian, lattice_problem, lattice_ramp_end,
-                      rand_complex, rand_hermitian, rand_sectorial)
+from conftest import (count_decompositions, count_pair_passes, exact_hermitian, lattice_problem,
+                      lattice_ramp_end, rand_complex, rand_hermitian, rand_sectorial)
 
 
 def oracle_projector(a, inside):
@@ -782,7 +784,10 @@ def test_enclosed_pair_matches_decomposed_projection_lattice(rng, monkeypatch):
     pair = enclosed_pair(herm, c)
     with monkeypatch.context() as patch:
         patch.setattr(contour, "_is_diagonal", lambda t: False)
+        patch.setattr(contour, "kept_pair", lambda t: None)  # a second pass, not the kept pair
+        passes = count_pair_passes(patch)
         assert all(same_bits(got, ref) for got, ref in zip(pair, enclosed_pair(herm, c)))
+        assert len(passes) == 1
 
 
 def test_enclosed_pair_typed_enclosure_errors():
@@ -868,11 +873,24 @@ def test_shifted_triangular_solves_match_per_node_reference(rng):
         assert same_bits(left, numcore.pairwise_sum([w * y[:, j] for j, w in enumerate(rule.weights)]))
 
 
+def test_is_diagonal_reads_any_storage_order(rng):
+    n = 7
+    d = np.diag(rand_complex(rng, n, 1).ravel())
+    for i, j in [(0, 1), (0, 2), (n - 3, n - 1), (0, n - 1), (2, 4)]:
+        t = d.copy()
+        t[i, j] = 1e-300
+        # C order, Fortran order, and a view with a negative row stride
+        for view in (t, np.asfortranarray(t), t[::-1].copy()[::-1]):
+            assert not contour._is_diagonal(view), (i, j)
+    for view in (d, np.asfortranarray(d), d[::-1].copy()[::-1], d[:1, :1]):
+        assert contour._is_diagonal(view)
+
+
 def pair_pass_peak(a, c, cold):
     """Peak traced bytes of one enclosed_pair pass after a warm-up pass on
-    the same A, which makes the measured pass reuse its Schur decomposition
-    unless ``cold`` drops it first."""
-    enclosed_pair(a, c)  # warm caches outside the measurement
+    the same A and another circle, which makes the measured pass reuse the
+    Schur decomposition, but not the pair, unless ``cold`` drops it first."""
+    enclosed_pair(a, Circle(c.center, 0.9 * c.radius, c.nodes))  # warm caches outside the measurement
     if cold:
         numcore.drop_schur_memo()
     tracemalloc.start()
@@ -894,3 +912,112 @@ def test_pair_pass_memory_does_not_grow_with_the_node_count(rng):
         # TRACE_CHUNK_NODES nodes only the per-node scalars add up
         assert peaks[128] <= peaks[4 * TRACE_CHUNK_NODES], cold
         assert peaks[4 * TRACE_CHUNK_NODES] <= 1.05 * peaks[TRACE_CHUNK_NODES], cold
+
+
+# -- the pair kept with the Schur memo entry ------------------------------------
+
+def isolated_circle(a, nodes=64):
+    """A circle about the lowest eigenvalue of ``a``, 0.4 of its gap wide."""
+    spec = numcore.eigvals_oracle(a)
+    return Circle(complex(spec[0]), 0.4 * np.abs(spec[1:] - spec[0]).min(), nodes)
+
+
+class FixedRule:
+    """A contour whose rule is given."""
+
+    def __init__(self, rule):
+        self._rule = rule
+
+    def rule(self):
+        return self._rule
+
+
+def test_hellmann_feynman_then_density_make_one_pair_pass(rng, monkeypatch):
+    problem = lattice_problem(rng, 6)
+    passes = count_pair_passes(monkeypatch)
+    kept = lattice_ramp_end(*problem)
+    # three tracking steps and Hellmann-Feynman; the density, on HF's matrix and circle, makes none
+    assert len(passes) == 4
+    numcore.drop_schur_memo()
+    monkeypatch.setattr(contour, "kept_pair", lambda t: None)
+    cold = lattice_ramp_end(*problem)
+    assert len(passes) == 4 + 5
+    assert all(same_bits(got, ref) for got, ref in zip(kept, cold))
+
+
+def test_a_changed_rule_matrix_bit_or_probe_makes_a_new_pass(rng, monkeypatch):
+    a = rand_sectorial(rng, 12)
+    c = isolated_circle(a)
+    passes = count_pair_passes(monkeypatch)
+    phi, eta, energy, _ = first = enclosed_pair(a, c)
+    again = enclosed_pair(np.asfortranarray(a.copy()), c)  # another array with the same bits
+    assert len(passes) == 1 and all(x is y for x, y in zip(first, again))
+    for m in (phi, eta):
+        with pytest.raises(ValueError):
+            m[0] = 1.0
+    rule = c.rule()
+    weights = rule.weights.copy()
+    weights[0] = complex(np.nextafter(weights[0].real, np.inf), weights[0].imag)
+    nudged = a.copy()
+    nudged[3, 4] = complex(nudged[3, 4].real, np.nextafter(nudged[3, 4].imag, np.inf))
+    changes = [(a, Circle(c.center, c.radius, c.nodes + 1)),
+               (a, FixedRule(QuadratureRule(rule.nodes, rule.weights, closed=False))),
+               (a, FixedRule(QuadratureRule(rule.nodes, weights))),
+               (nudged, c)]
+    for m, contour_ in changes:
+        enclosed_pair(m, contour_)
+        enclosed_pair(m, contour_)
+        enclosed_pair(a, c)
+    assert len(passes) == 1 + 2 * len(changes)
+    v, u = rand_complex(rng, 2, 12)
+    use_probes(monkeypatch, v, u)
+    for _ in range(2):
+        got = enclosed_pair(a, c)
+    assert len(passes) == 2 + 2 * len(changes)
+    assert abs(got[2] - energy) <= 1e-12 * abs(energy)
+
+
+@pytest.mark.parametrize("name, value, error", [
+    ("CLEARANCE_FACTOR", 1e6, ContourThroughSpectrumError),
+    ("TRACE_TOL", 0.0, DegenerateEnclosureError),
+    ("PROBE_FLOOR", 2.0, ProbeOrthogonalError),
+    ("RESIDUAL_TOL", 0.0, RankNotOneError),
+])
+def test_a_kept_pair_raises_what_a_pass_raises(rng, monkeypatch, name, value, error):
+    a = rand_sectorial(rng, 12)
+    c = isolated_circle(a)
+    passes = count_pair_passes(monkeypatch)
+    enclosed_pair(a, c)
+    with monkeypatch.context() as patch:
+        patch.setattr(contour, name, value)
+        with pytest.raises(error) as kept:
+            enclosed_pair(a, c)
+        assert len(passes) == 1  # the kept figures were checked again, nothing was solved
+        patch.setattr(contour, "kept_pair", lambda t: None)
+        with pytest.raises(error) as cold:
+            enclosed_pair(a, c)
+    assert str(kept.value) == str(cold.value)
+    # the clearance check comes before any pass; a pass that failed a check kept nothing
+    assert len(passes) == (1 if name == "CLEARANCE_FACTOR" else 2)
+    enclosed_pair(a, c)
+    assert len(passes) == (1 if name == "CLEARANCE_FACTOR" else 2)
+
+
+def test_the_kept_pair_goes_with_its_entry(rng, monkeypatch):
+    a, b = rand_sectorial(rng, 12), rand_sectorial(rng, 12)
+    c = isolated_circle(a)
+    passes = count_pair_passes(monkeypatch)
+
+    def kept_phi(m):
+        return weakref.ref(enclosed_pair(m, c)[0])
+    for event in (numcore.drop_schur_memo, lambda: numcore.schur_oracle(b)):
+        phi = kept_phi(a)
+        assert phi() is not None
+        event()
+        assert phi() is None
+    with closing(numcore.schur_ahead([a, b])) as matrices:
+        phi = kept_phi(next(matrices))
+        assert phi() is not None
+        next(matrices)  # b's decomposition becomes the entry
+        assert phi() is None
+    assert len(passes) == 3

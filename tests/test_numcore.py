@@ -1,5 +1,6 @@
 import importlib
 import json
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -165,6 +166,20 @@ def test_schur_oracle_failure_keeps_no_entry(rng, monkeypatch):
     for m in (a, b):
         with pytest.raises(NoConvergenceError):
             numcore.schur_oracle(m)
+
+
+def test_schur_oracle_keeps_the_copy_schur_ahead_made_uncopied(rng):
+    a = rand_complex(rng, 6)
+    with closing(numcore.schur_ahead([a])) as matrices:
+        drawn = next(matrices)
+        numcore.schur_oracle(drawn)
+        assert numcore._schur_last.a is drawn
+    # any other input is copied, read-only or not
+    for m in (a, drawn.copy()):
+        m.flags.writeable = False
+        numcore.drop_schur_memo()
+        numcore.schur_oracle(m)
+        assert numcore._schur_last.a is not m and not numcore._schur_last.a.flags.writeable
 
 
 def test_compute_modules_bind_no_oracle():

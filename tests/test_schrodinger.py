@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -288,3 +291,109 @@ def test_config_arithmetic(rng):
     assert combo.u0.max() == 0.0
     with pytest.raises(ValueError):
         sch.FieldConfig.zero(g, u0=-np.ones(4))
+
+
+def folded(cfg, dirs, p):
+    """cfg + p_i dir_i as FieldConfig arithmetic, one nonzero p_i at a time."""
+    for coeff, direction in zip(np.asarray(p).ravel(), dirs):
+        if coeff != 0:
+            cfg = cfg + complex(coeff) * direction
+    return cfg
+
+
+@pytest.mark.parametrize("d, n, particles", [(1, 5, 2), (2, 3, 1)])
+def test_config_family_has_the_bits_of_the_folded_config(rng, d, n, particles):
+    g = sch.Grid(d=d, n=n, delta=0.5)
+    space = sch.ManyBodySpace(grid=g, particles=particles)
+    base = sch.FieldConfig.zero(g, u0=rng.uniform(0.5, 1.5, g.sites), v0=rng.uniform(0.0, 0.4, g.shape))
+    mixed = sch.FieldConfig(grid=g, u=rand_complex(rng, g.sites, 1), a=rand_complex(rng, d * g.sites, 1),
+                            v=rand_complex(rng, g.sites, 1), f=0.1 * rand_complex(rng, g.sites, 1))
+    dirs = [sch.delta_u(g, j) for j in range(g.sites)] + [mixed] + [
+        sch.delta_a(g, k, c) for k in range(d) for c in itertools.product(range(n), repeat=d)]
+    fam, dfam = sch.config_family(g, space, base, dirs)
+    m = len(dirs)
+    coeffs = [np.zeros(m), 0.05 * rng.standard_normal(m), 0.05 * rand_complex(rng, m, 1).ravel()]
+    for p in coeffs[1:]:
+        p[::3] = 0.0
+    for p in coeffs:
+        assert fam(p).tobytes() == sch.family(g, space, folded(base, dirs, p)).tobytes()
+        for w in coeffs:
+            ref = sch.family_derivative(g, space, folded(base, dirs, p),
+                                        folded(sch.FieldConfig.zero(g), dirs, w))
+            assert dfam(p, w).tobytes() == ref.tobytes()
+
+
+def test_config_family_rejects_a_direction_on_another_grid():
+    g, space = ring(4, 0.5)
+    fam, dfam = sch.config_family(g, space, sch.FieldConfig.zero(g),
+                                  [sch.delta_u(g, 0), sch.delta_u(sch.Grid(d=1, n=5, delta=0.5), 1)])
+    fam([0.1, 0.0])  # a zero coefficient leaves its direction out
+    with pytest.raises(DimensionMismatchError):
+        fam([0.1, 0.2])
+    with pytest.raises(DimensionMismatchError):
+        dfam([0.0, 0.0], [0.0, 1.0])
+
+
+def kron_sum(space, m1):
+    """sum_alpha I x ... x M1 x ... x I from Kronecker products, added in particle order."""
+    eye = np.eye(space.sites, dtype=complex)
+    total = np.zeros((space.dim, space.dim), dtype=complex)
+    for alpha in range(space.particles):
+        factors = [eye] * space.particles
+        factors[alpha] = m1
+        acc = factors[0]
+        for fac in factors[1:]:
+            acc = np.kron(acc, fac)
+        total += acc
+    return total
+
+
+@pytest.mark.parametrize("d, n, particles", [(1, 5, 1), (1, 5, 2), (1, 4, 3), (2, 3, 2)])
+def test_one_body_to_many_has_the_bits_of_the_kronecker_sum(rng, d, n, particles):
+    space = sch.ManyBodySpace(grid=sch.Grid(d=d, n=n, delta=0.5), particles=particles)
+    s = space.sites
+    m1 = rand_complex(rng, s)
+    # exact zeros and signed zeros in either part, and a diagonal that cancels across particles
+    m1[0, 1] = complex(-0.0, 0.0)
+    m1[1, 0] = complex(0.0, -0.0)
+    m1[2, 2] = complex(-0.0, -0.0)
+    m1[1, 1] = complex(1.5, -m1[0, 0].imag)
+    m1[0, 0] = complex(-1.5, m1[0, 0].imag)
+    m1[:, 3] = 0.0
+    kinetic = sch._kinetic_one_particle(space.grid, rand_complex(rng, d * s, 1).reshape((d,) + space.grid.shape))
+    for m in (m1, kinetic):
+        assert sch.one_body_to_many(space, m).tobytes() == kron_sum(space, m).tobytes()
+
+
+def random_config(rng, g, zero_sign=True):
+    """Complex fields with |f| < 1 and nonnegative backgrounds; with
+    ``zero_sign``, a few parts of u, a and v are -0.0."""
+    cfg = sch.FieldConfig(grid=g, u=rand_complex(rng, g.sites, 1), a=0.3 * rand_complex(rng, g.d * g.sites, 1),
+                          v=rand_complex(rng, g.sites, 1), f=0.2 * rand_complex(rng, g.sites, 1),
+                          u0=rng.uniform(0.0, 1.0, g.sites), v0=rng.uniform(0.0, 0.5, g.shape))
+    if zero_sign:
+        for m in (cfg.u.reshape(-1), cfg.a.reshape(-1), cfg.v.reshape(-1)):
+            m[0] = complex(-0.0, m[0].imag)
+            m[1] = complex(m[1].real, -0.0)
+    return cfg
+
+
+@pytest.mark.parametrize("d, n, particles", [(1, 5, 1), (1, 5, 2), (1, 4, 3), (2, 3, 2)])
+def test_family_has_the_bits_of_the_summed_forms(rng, d, n, particles):
+    g = sch.Grid(d=d, n=n, delta=0.5)
+    space = sch.ManyBodySpace(grid=g, particles=particles)
+    for cfg in (random_config(rng, g), random_config(rng, g, zero_sign=False), sch.FieldConfig.zero(g)):
+        ref = (sch.kinetic_form(g, space, cfg.a) + sch.potential_form(space, cfg.u0 + cfg.u + cfg.f * cfg.u0)
+               + sch.interaction_form(space, cfg.v0 + cfg.v))
+        assert sch.family(g, space, cfg).tobytes() == ref.tobytes()
+        full = random_config(rng, g)
+        zero = sch.FieldConfig.zero(g)
+        # each field of the direction alone, then all of them
+        for direction in (replace(zero, u=full.u), replace(zero, f=full.f), replace(zero, a=full.a),
+                          replace(zero, v=full.v), full, zero):
+            ref = sch.potential_form(space, direction.u + direction.f * cfg.u0)
+            if np.any(direction.a):
+                ref = ref + sch.kinetic_form_derivative(g, space, cfg.a, direction.a)
+            if np.any(direction.v):
+                ref = ref + sch.interaction_form(space, direction.v)
+            assert sch.family_derivative(g, space, cfg, direction).tobytes() == ref.tobytes()
