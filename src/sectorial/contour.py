@@ -57,7 +57,7 @@ TRACE_TOL = 0.01  # how far Tr P of a rank-one enclosure may sit from 1 (and 0 f
 LINE_TOL = 1e-9  # least distance of the spectrum from a splitting line, relative to |spectrum|
 CHUNK_NODES = 32  # most nodes per triangular-inverse batch in resolvent_sums
 CHUNK_BYTES = 2 ** 29  # most bytes of resolvents per batch: 32 nodes at n = 1024
-TRACE_CHUNK_NODES = 256  # nodes per vectorized block: traces, probe solves, clearance
+TRACE_CHUNK_NODES = 256  # nodes per vectorized block: traces and probe solves
 PROBE_SEED = 20031  # seed of the fixed probe vectors of enclosed_pair
 PROBE_FLOOR = 1e-6  # least overlap cosine of a probe with its eigenvector
 RESIDUAL_TOL = 1e-7  # eigenpair residuals of enclosed_pair, relative to |A|
@@ -320,21 +320,30 @@ def schur_trace_sum(t, rule: QuadratureRule, funcs) -> list[complex]:
 def _schur_traces(t, rule: QuadratureRule, funcs) -> list[complex]:
     """:func:`schur_trace_sum` on a Schur factor T, upper triangular by
     construction, without the checks of its input, which form n x n arrays."""
-    def traces(chunk, lo):
-        inv = _schur_pivots(t, chunk.nodes, lo)[1]
-        tr = np.zeros(chunk.nodes.size, dtype=complex)
-        for row in inv:
-            tr += row
-        return tr
+    traces = lambda chunk, lo: _row_sums(_schur_pivots(t, chunk.nodes, lo)[1])
     return [complex(s) for s in _walk(rule, TRACE_CHUNK_NODES, funcs, traces)]
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """0 + rows[0] + rows[1] + ... in row order, the bits of adding the rows
+    one by one into zeros, for a C-ordered table: numpy reduces axis 0 of
+    two or more columns row by row, but sums a single column pairwise, so
+    that one takes a running sum."""
+    if rows.shape[1] == 1:
+        return np.cumsum(np.append(0j, rows))[-1:]
+    return rows.sum(axis=0, initial=0)
 
 
 def _check_clearance(rule: QuadratureRule, spectrum: np.ndarray) -> None:
     """Every node at least CLEARANCE_FACTOR node spacings from the spectrum;
     ContourThroughSpectrumError otherwise."""
-    # TRACE_CHUNK_NODES nodes at a time: the distance table does not grow with the rule
-    dist = min(np.abs(chunk.nodes[:, None] - spectrum).min()
-               for _, chunk in _chunks(rule, TRACE_CHUNK_NODES))
+    # the distance table of a few nodes at a time, under 64 KiB of complex
+    # differences: it does not grow with the rule, and stays below glibc's
+    # 128 KiB mmap threshold, whose rise after a freed mapping lifts peak RSS
+    step = max(1, 4096 // max(spectrum.size, 1))
+    nodes = rule.nodes
+    dist = min(np.abs(nodes[lo:lo + step, None] - spectrum).min()
+               for lo in range(0, nodes.size, step))
     need = CLEARANCE_FACTOR * rule.max_spacing()
     if dist < need:
         raise ContourThroughSpectrumError(
@@ -544,9 +553,11 @@ def enclosed_pair(a, contour):
     substitution on T - zeta_j per node, or b / pivots on a diagonal T
     (:func:`_triangular_probe_sums`), and Tr P, Tr AP come from
     :func:`schur_trace_sum` on T.  At n = 256 and 128 nodes (one BLAS
-    thread) a pass takes ~0.1 s, mostly Schur, ~7 ms (~3 ms for a diagonal
-    T) on the A of the last :func:`numcore.schur_oracle` call, and ~0.5 ms
-    for a repeat (matrix, contour, probes).
+    thread) a pass takes ~0.1 s, mostly the ~63 ms of ``zgees`` (~0.07 s
+    and ~39 ms for a two-particle matrix, which :func:`numcore.schur_oracle`
+    decomposes in its two exchange blocks), ~7 ms (~3 ms for a diagonal T)
+    on the A of the last :func:`numcore.schur_oracle` call, and ~0.5 ms for
+    a repeat (matrix, contour, probes).
 
     The result of the last pass whose checks all held is kept with that
     call's memo entry (:func:`numcore.keep_pair`), keyed by the bits of the

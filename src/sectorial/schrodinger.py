@@ -9,6 +9,15 @@ every matrix entry is a polynomial of degree <= 2 in the field values and
 one-complex-dimensional slices of the family have finite Taylor expansions.
 Scalar potentials and two-body interactions are diagonal.  N <= 3 particles
 on the full tensor grid (no statistics), total dimension capped at 2048.
+
+On two particles a family matrix commutes bit for bit with the particle
+exchange |i, j> -> |j, i> whenever the pair kernel is even bit for bit,
+v(-x) = v(x), as a radial interaction such as 0.4 / (1 + r^2) is: each
+entry of the one-body part adds at most two terms into zero, which gives
+the same bits in either order, and the pair term at sites (x_i, x_j) is
+v(x_j - x_i).  :func:`numcore.schur_oracle` decomposes such a matrix in
+its symmetric and antisymmetric blocks, about half the work of the whole;
+three-particle spaces are decomposed whole.
 """
 
 from __future__ import annotations

@@ -39,27 +39,29 @@ def exact_hermitian(rng, n, lo=1.0, hi=4.0):
     return (h + h.conj().T) / 2
 
 
-def count_decompositions(monkeypatch):
-    """Log of the LAPACK decompositions numcore makes while the test runs,
-    as (kind, A) with kind "schur" (``zgees``) or "eigh" (``zheevd``, for an
-    exactly hermitian A) and A a copy of the matrix handed to LAPACK, in
-    the order the calls start, on whichever thread.  numcore's ctypes
-    bindings ``numcore.zgees`` and ``numcore.zheevd``, looked up at each
-    call, are wrapped; a workspace query (lwork at -1) is not logged.  The
-    numerical-range sweep and :meth:`Sector.require_range` reduce through
-    forms' own routines (``forms.zhetrd``) and make no decomposition of A."""
-    calls = []
+def exchanged(m, s):
+    """F M F for the exchange F: |i, j> -> |j, i> of two s-dimensional tensor factors."""
+    return m.reshape(s, s, s, s).transpose(1, 0, 3, 2).reshape(m.shape)
 
-    def counted(kind, routine, n_at, lwork_at):  # A is the argument after n
-        def call(*args):
-            if ctypes.c_int.from_address(args[lwork_at]).value != -1:
-                n = ctypes.c_int.from_address(args[n_at]).value
-                data = (ctypes.c_char * (16 * n * n)).from_address(args[n_at + 1])
-                calls.append((kind, np.frombuffer(data, dtype=complex).reshape((n, n), order="F").copy()))
-            routine(*args)
-        return call
-    monkeypatch.setattr(numcore, "zgees", counted("schur", numcore.zgees, 3, 11))
-    monkeypatch.setattr(numcore, "zheevd", counted("eigh", numcore.zheevd, 2, 7))
+
+def count_decompositions(monkeypatch):
+    """Log of the matrices numcore decomposes while the test runs, one entry
+    per decomposed matrix, as (kind, A): kind "eigh" when each of its
+    LAPACK calls took ``zheevd`` (an exactly hermitian A, T diagonal),
+    "schur" when one took ``zgees``, and A a copy of the matrix, in the
+    order the decompositions start, on whichever thread.
+    ``numcore._SchurJob.run`` makes a decomposition's LAPACK calls (one, or
+    one per exchange block of a two-particle matrix) and is wrapped; a
+    workspace query is made outside it and not logged.  The numerical-range
+    sweep and :meth:`Sector.require_range` reduce through forms' own
+    routines (``forms.zhetrd``) and make no decomposition of A."""
+    calls = []
+    run = numcore._SchurJob.run
+
+    def counted(job):
+        calls.append((job.kind, np.array(job.a)))
+        run(job)
+    monkeypatch.setattr(numcore._SchurJob, "run", counted)
     return calls
 
 

@@ -653,6 +653,44 @@ def test_schur_traces_match_dense_trace(rng):
             assert abs(node_trace(h, z) - ref) <= 1e-12 * abs(ref), f"{name} at {z}"
 
 
+def test_row_sums_have_the_bits_of_the_row_loop(rng):
+    def loop(rows):  # the reference: the rows added one by one into zeros
+        total = np.zeros(rows.shape[1], dtype=complex)
+        for row in rows:
+            total += row
+        return total
+    # one-column chunks (a rule's last node alone), which a plain sum(axis=0) adds pairwise
+    shapes = [(n, k) for n in (0, 1, 2, 9, 128, 257) for k in (1, 2, 3, 47, TRACE_CHUNK_NODES)]
+    for n, k in shapes:
+        for imaginary in (False, True):  # purely imaginary pivots give reciprocals with +-0 real parts
+            piv = rand_complex(rng, n, 1) - rand_complex(rng, 1, k)
+            rows = 1.0 / (1j * piv.imag if imaginary else piv)
+            assert contour._row_sums(rows).tobytes() == loop(rows).tobytes(), (n, k, imaginary)
+    signed = np.array([[complex(-0.0, -1.0)], [complex(-0.0, 2.0)]])
+    assert contour._row_sums(signed).tobytes() == loop(signed).tobytes()
+    assert contour._row_sums(np.hstack([signed, signed])).tobytes() == loop(np.hstack([signed, signed])).tobytes()
+
+
+def test_clearance_table_stays_small(rng):
+    spectrum = rand_complex(rng, 256, 1).ravel()
+    rule = Circle(10.0, 1.0, 128).rule()
+    contour._check_clearance(rule, spectrum)
+    tracemalloc.start()
+    try:
+        contour._check_clearance(rule, spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 16 nodes at a time, 64 KiB of differences, each block below glibc's default 128 KiB mmap
+    # threshold (numpy's broadcast subtraction holds two more of the table's size), where the
+    # whole 128-node table would be 0.5 MB
+    assert peak < 2 ** 18
+    near = Circle(complex(spectrum[200]) + 0.05, 1.0, 128).rule()  # the nearest node is in a middle chunk
+    dist = np.abs(near.nodes[:, None] - spectrum).min()
+    with pytest.raises(ContourThroughSpectrumError, match=f"within {dist:.3e}"):
+        contour._check_clearance(near, spectrum)
+
+
 def test_schur_traces_on_sector_nodes_dim256(rng):
     t = rand_sectorial(rng, 256)
     rule = semigroup._wedge_rule(1.0, fit_sector(numerical_range(t, 64), margin=0.05))

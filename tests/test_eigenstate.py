@@ -9,8 +9,8 @@ from sectorial import eigenstate as eg, numcore, schrodinger as sch
 from sectorial.contour import Circle, riesz_projection
 from sectorial.errors import IsolationLostError, NoConvergenceError, RankNotOneError
 
-from conftest import (count_decompositions, failing_decomposition, lattice_problem, lattice_ramp_end,
-                      rand_complex, rand_hermitian)
+from conftest import (count_decompositions, exchanged, failing_decomposition, lattice_problem,
+                      lattice_ramp_end, rand_complex, rand_hermitian)
 
 
 def test_decompose_orthogonal_projector():
@@ -264,6 +264,32 @@ def test_prefetched_tracking_has_the_serial_bits(monkeypatch, n):
     assert ahead == serial
     assert threading.active_count() == threads
     assert any(off_caller)  # the ramp points' zgees run off the calling thread (their workspace queries on it)
+
+
+def test_prefetched_tracking_of_an_exchange_symmetric_family_has_the_serial_bits(monkeypatch):
+    # each point decomposed in its two exchange blocks, ahead on the second thread or in the serial loop
+    s, rng = 8, np.random.default_rng(48)
+    u = np.linalg.qr(rand_complex(rng, s))[0]
+    e = np.concatenate([[0.0, 1.0], np.linspace(1.5, 3.0, s - 2)])
+    uu = np.kron(u, u)  # commutes with the exchange, so H0 does: two particles of levels e
+    h0 = uu @ np.diag(np.add.outer(e, e).ravel()) @ uu.conj().T
+    h0 = (h0 + h0.conj().T) / 2
+    k = rand_complex(rng, s * s)
+    k *= 0.01 / np.linalg.norm(k, 2)
+
+    def family(x):  # exchange-symmetric bit for bit, and exactly hermitian at x = 0
+        h = h0 + x * k
+        return (h + exchanged(h, s)) / 2
+    assert all(numcore._exchange_view(family(x)) is not None for x in PATH)
+    with monkeypatch.context() as patch:
+        patch.setattr(eg, "schur_ahead", iter)
+        serial = tracked_bits(eg.track_eigenvalue(family, PATH, C0))
+    numcore.drop_schur_memo()
+    calls = count_decompositions(monkeypatch)
+    threads = threading.active_count()
+    assert tracked_bits(eg.track_eigenvalue(family, PATH, C0)) == serial
+    assert sorted(kind for kind, _ in calls) == ["eigh", "schur", "schur"]
+    assert threading.active_count() == threads
 
 
 def failing_third(monkeypatch, family, fail_on):

@@ -1,15 +1,19 @@
+import ctypes
 import importlib
+import itertools
 import json
+import warnings
 from contextlib import closing
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from sectorial import cli, numcore
 from sectorial.errors import InvalidPError, NoConvergenceError, OverflowError_, SingularMatrixError
 
-from conftest import count_decompositions, exact_hermitian, failing_decomposition, rand_complex, \
-    rand_hermitian
+from conftest import count_decompositions, exact_hermitian, exchanged, failing_decomposition, \
+    rand_complex, rand_hermitian
 
 
 def test_solve_identity():
@@ -209,6 +213,123 @@ def test_forms_binds_one_lapack_path(rng, monkeypatch):
     numcore.schur_oracle(rand_complex(rng, 5))
     numcore.schur_oracle(exact_hermitian(rng, 5))
     assert [kind for kind, _ in calls] == ["schur", "eigh"]
+
+
+def lapack_calls(monkeypatch):
+    """Log of numcore's LAPACK decompositions, one (routine, n) per call; a
+    workspace query is not logged."""
+    calls = []
+    for routine, n_at, lwork_at in (("zgees", 3, 11), ("zheevd", 2, 7)):
+        def call(*args, routine=routine, step=getattr(numcore, routine), n_at=n_at, lwork_at=lwork_at):
+            if ctypes.c_int.from_address(args[lwork_at]).value != -1:
+                calls.append((routine, ctypes.c_int.from_address(args[n_at]).value))
+            step(*args)
+        monkeypatch.setattr(numcore, routine, call)
+    return calls
+
+
+def whole_route(monkeypatch):
+    """numcore with the exchange split turned off: every A decomposed whole."""
+    monkeypatch.setattr(numcore, "_exchange_view", lambda a: None)
+
+
+@pytest.mark.parametrize("s", [2, 3, 6, 16])
+def test_exchange_split_factors_like_the_whole_route(rng, monkeypatch, s):
+    n = s * s
+    x = rand_complex(rng, n)
+    a = x + exchanged(x, s)
+    assert np.array_equal(exchanged(a, s), a)
+    lapack = lapack_calls(monkeypatch)
+    decompositions = count_decompositions(monkeypatch)
+    split = numcore.schur_oracle(a)
+    # one decomposition in two half-size zgees calls: s(s + 1)/2 symmetric, s(s - 1)/2 antisymmetric
+    assert lapack == [("zgees", s * (s + 1) // 2), ("zgees", s * (s - 1) // 2)]
+    assert [kind for kind, _ in decompositions] == ["schur"]
+    with monkeypatch.context() as patch:
+        whole_route(patch)
+        numcore.drop_schur_memo()
+        whole = numcore.schur_oracle(a)
+    assert lapack[2:] == [("zgees", n)]
+    scale = np.linalg.norm(a)
+    for t, z, spec in (split, whole):
+        assert not np.tril(t, -1).any()
+        assert np.linalg.norm(z.conj().T @ z - np.eye(n)) <= 1e-14 * n
+        assert np.linalg.norm(z @ t @ z.conj().T - a) <= 1e-13 * scale
+        assert sorted(spec.tolist(), key=lambda w: (w.real, w.imag)) == spec.tolist()
+        assert np.abs(spec - numcore.eigvals_oracle(a)).max() <= 1e-12 * scale
+        assert all(not m.flags.writeable for m in (t, z, spec))
+
+
+def test_exchange_split_of_an_exactly_hermitian_matrix_is_diagonal(rng, monkeypatch):
+    from sectorial.contour import _is_diagonal
+    s = 6
+    h = exact_hermitian(rng, s * s)
+    a = (h + exchanged(h, s)) / 2  # hermitian and exchange-symmetric, bit for bit
+    lapack = lapack_calls(monkeypatch)
+    decompositions = count_decompositions(monkeypatch)
+    t, z, spec = numcore.schur_oracle(a)
+    assert lapack == [("zheevd", 21), ("zheevd", 15)]
+    assert [kind for kind, _ in decompositions] == ["eigh"]
+    assert _is_diagonal(t) and np.array_equal(t, np.diag(np.diagonal(t)))
+    assert not np.diagonal(t).imag.any()
+    assert np.linalg.norm(z.conj().T @ z - np.eye(36), 2) <= 1e-13
+    assert np.linalg.norm(z @ t @ z.conj().T - a) <= 1e-13 * np.linalg.norm(a)
+    assert np.abs(spec - numcore.eigvals_oracle(a)).max() <= 1e-12 * np.linalg.norm(a)
+
+
+def test_one_entry_off_the_exchange_symmetry_takes_the_whole_route_with_its_bits(rng, monkeypatch):
+    s, n = 5, 25
+    x = rand_complex(rng, n)
+    a = x + exchanged(x, s)
+    a[3, 7] += 1e-3
+    h = exact_hermitian(rng, n)
+    h = (h + exchanged(h, s)) / 2
+    h[3, 7] += 1e-3  # still exactly hermitian, no longer exchange-symmetric
+    h[7, 3] = h[3, 7].conjugate()
+    lapack = lapack_calls(monkeypatch)
+    t, z, spec = numcore.schur_oracle(a)
+    ref_t, ref_z = sla.schur(a, output="complex")
+    assert t.tobytes() == ref_t.tobytes() and z.tobytes() == ref_z.tobytes()
+    t, z, spec = numcore.schur_oracle(h)
+    w, v = sla.eigh(h, driver="evd")
+    assert t.tobytes() == np.diag(w.astype(complex)).tobytes() and z.tobytes() == v.tobytes()
+    # and a dimension that is not a square decomposes whole whatever its symmetry
+    numcore.schur_oracle(rand_complex(rng, 24))
+    assert lapack == [("zgees", n), ("zheevd", n), ("zgees", 24)]
+
+
+@pytest.mark.parametrize("routine, block", [("zgees", 0), ("zgees", 1), ("zheevd", 1)])
+def test_a_failing_exchange_block_raises_no_convergence(rng, monkeypatch, routine, block):
+    s = 4
+    x = exact_hermitian(rng, s * s) if routine == "zheevd" else rand_complex(rng, s * s)
+    a = (x + exchanged(x, s)) / 2
+    numcore.schur_oracle(rand_complex(rng, 3))
+    calls = itertools.count()
+    monkeypatch.setattr(numcore, routine, failing_decomposition(routine, lambda: next(calls) == block))
+    with pytest.raises(NoConvergenceError, match=f"LAPACK {routine} returned info=1"):
+        numcore.schur_oracle(a)
+    assert numcore._schur_last is None  # the miss dropped the old entry and the failure kept none
+
+
+def test_solve_has_the_bits_of_lu_factor_and_lu_solve(rng):
+    for n, rhs in ((1, (1,)), (3, (3,)), (12, (12, 12)), (40, (40, 3))):
+        a = rand_complex(rng, n) + n * np.eye(n)
+        b = rng.standard_normal(rhs) + 1j * rng.standard_normal(rhs)
+        ref = sla.lu_solve(sla.lu_factor(a, check_finite=False), b, check_finite=False)
+        for m in (a, np.asfortranarray(a)):
+            assert numcore.solve(m, b).tobytes() == ref.tobytes()
+    ref = sla.lu_solve(sla.lu_factor(a), np.eye(40, dtype=complex))
+    assert numcore.inverse(a).tobytes() == ref.tobytes()
+
+
+def test_solve_singular_raises_without_a_warning():
+    exact = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)  # a zero pivot
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (exact, near, np.zeros((2, 2))):
+            with pytest.raises(SingularMatrixError):
+                numcore.solve(a, np.ones(len(a), dtype=complex))
 
 
 def test_expm_zero_is_identity():

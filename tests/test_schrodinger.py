@@ -11,7 +11,7 @@ from sectorial.errors import (
     NotNormalizedPairError,
 )
 
-from conftest import rand_complex
+from conftest import exchanged, rand_complex
 
 
 def ring(n, delta=1.0, particles=1):
@@ -397,3 +397,27 @@ def test_family_has_the_bits_of_the_summed_forms(rng, d, n, particles):
             if np.any(direction.v):
                 ref = ref + sch.interaction_form(space, direction.v)
             assert sch.family_derivative(g, space, cfg, direction).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d, n", [(1, 5), (1, 6), (2, 3)])
+def test_two_particle_families_commute_with_exchange_bit_for_bit(rng, d, n):
+    # numcore decomposes such a matrix in its two exchange blocks, which needs F H F = H exactly
+    g = sch.Grid(d=d, n=n, delta=0.5)
+    space = sch.ManyBodySpace(grid=g, particles=2)
+    minus = tuple(np.ix_(*[(-np.arange(n)) % n] * d))
+
+    def even(v):  # v(x) + v(-x), even bit for bit, as a physical pair interaction is
+        return v + v[minus]
+    cfg = random_config(rng, g)
+    cfg = replace(cfg, v=even(cfg.v), v0=even(cfg.v0))
+    mats = [sch.family(g, space, cfg)]
+    dirs = [sch.delta_u(g, j) for j in range(g.sites)] + [
+        sch.delta_a(g, k, c) for k in range(d) for c in itertools.product(range(n), repeat=d)] + [
+        replace(sch.FieldConfig.zero(g), v=even(rand_complex(rng, g.sites, 1).reshape(g.shape)))]
+    fam, _ = sch.config_family(g, space, cfg, dirs)
+    for p in (0.05 * rand_complex(rng, len(dirs), 1).ravel(), 0.05 * rng.standard_normal(len(dirs))):
+        mats.append(fam(p))
+    for m in mats:
+        assert not np.array_equal(m, m.conj().T)  # complex fields: not hermitian
+        assert exchanged(m, g.sites).tobytes() == m.tobytes()
+        assert numcore._exchange_view(m) is not None
